@@ -1,43 +1,27 @@
 // Inference-serving benchmark: compiled batched prediction vs the
-// row-at-a-time ForestModel reference, thread scaling of the batched
-// path, end-to-end micro-batching server throughput with latency
-// percentiles from the metrics registry, and a replicated-fleet mode
-// (router + N in-process replicas) sweeping sustained QPS and
-// p99/p999 against replica count.
+// row-at-a-time ForestModel reference, and thread scaling of the
+// batched path. Every compiled label is checked against the reference.
 //
 // Expected shape: the compiled structure-of-arrays traversal beats
 // row-at-a-time prediction by well over 5x on one thread (no per-row
 // PMF vector allocations, one tree's nodes stay hot across a whole row
 // block), and the batched path scales near-linearly with threads since
-// rows are embarrassingly parallel. Fleet QPS should grow with replica
-// count until the single router thread saturates.
+// rows are embarrassingly parallel. Request latency under load is
+// perfbench's job (open-loop p50/p99 and slo_rows_per_s).
 //
-// Emits BENCH_serve.json (single-process server) and BENCH_fleet.json
-// (replica-count sweep) into the working directory; CI uploads both.
+// Emits BENCH_serve.json into the working directory.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <future>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
-#include "common/metrics_registry.h"
-#include "common/serial.h"
 #include "common/simd.h"
 #include "common/timer.h"
-#include "fleet/replica.h"
-#include "fleet/router.h"
 #include "forest/forest.h"
-#include "net/network.h"
 #include "serve/compiled_model.h"
-#include "serve/layout.h"
-#include "serve/registry.h"
-#include "serve/server.h"
-#include "table/binned.h"
 
 using namespace treeserver;         // NOLINT
 using namespace treeserver::bench;  // NOLINT
@@ -82,92 +66,6 @@ void WriteJsonFile(const char* path, const std::string& json) {
     std::fputs(json.c_str(), f);
     std::fclose(f);
   }
-}
-
-struct FleetBenchPoint {
-  int replicas = 0;
-  double qps = 0.0;
-  uint64_t p99_us = 0;
-  uint64_t p999_us = 0;
-};
-
-/// Closed-loop batched load through a FleetRouter backed by
-/// `num_replicas` in-process FleetReplicas. Every returned label is
-/// checked against the compiled reference; latency percentiles come
-/// from the router's own fleet.latency_us histogram.
-bool RunFleetBench(int num_replicas, NodeLayout node_layout,
-                   const std::string& model_bytes, const DataTable& table,
-                   const std::vector<int32_t>& ref_labels, size_t requests,
-                   size_t rows_per_batch, FleetBenchPoint* out) {
-  MetricsRegistry metrics;
-  InProcessTransport net(num_replicas, 0.0);
-  std::vector<std::unique_ptr<FleetReplica>> replicas;
-  for (int r = 0; r < num_replicas; ++r) {
-    FleetReplicaConfig rc;
-    rc.rank = r;
-    rc.node_layout = node_layout;
-    rc.serve.num_workers = 2;
-    rc.serve.max_batch = 256;
-    rc.serve.batch_deadline_us = 200;
-    rc.serve.max_queue = 1 << 16;
-    replicas.push_back(std::make_unique<FleetReplica>(&net, rc));
-    replicas.back()->Start();
-  }
-  FleetRouterConfig cfg;
-  cfg.metrics = &metrics;
-  cfg.max_inflight = 1 << 14;
-  cfg.default_deadline_ms = 60000;
-  FleetRouter router(&net, cfg);
-  router.Start();
-  bool ok = router.Push("bench", model_bytes).ok();
-
-  const size_t n = table.num_rows();
-  std::vector<uint32_t> batch(rows_per_batch);
-  std::vector<std::future<Result<FleetBatchResult>>> futures;
-  futures.reserve(requests);
-  std::vector<size_t> starts(requests);
-  size_t mismatches = 0;
-  size_t next_wait = 0;
-  const size_t window = 64;  // outstanding batches in the closed loop
-  auto drain_one = [&] {
-    auto r = futures[next_wait].get();
-    const size_t start = starts[next_wait];
-    if (!r.ok() || r->labels.size() != rows_per_batch) {
-      ++mismatches;
-    } else {
-      for (size_t j = 0; j < rows_per_batch; ++j) {
-        if (r->labels[j] != ref_labels[(start + j) % n]) ++mismatches;
-      }
-    }
-    ++next_wait;
-  };
-  WallTimer timer;
-  for (size_t i = 0; ok && i < requests; ++i) {
-    const size_t start = (i * rows_per_batch) % n;
-    for (size_t j = 0; j < rows_per_batch; ++j) {
-      batch[j] = static_cast<uint32_t>((start + j) % n);
-    }
-    starts[i] = start;
-    futures.push_back(
-        router.PredictRows("bench", table, batch.data(), rows_per_batch));
-    while (futures.size() - next_wait > window) drain_one();
-  }
-  while (ok && next_wait < futures.size()) drain_one();
-  const double seconds = timer.Seconds();
-  Histogram::Snapshot lat = metrics.GetHistogram("fleet.latency_us")->snapshot();
-  router.ShutdownReplicas();
-  router.Stop();
-  for (auto& r : replicas) r->Stop();
-  if (!ok || mismatches != 0) {
-    std::printf("FATAL: fleet bench (%d replicas): push ok=%d, %zu mismatches\n",
-                num_replicas, ok ? 1 : 0, mismatches);
-    return false;
-  }
-  out->replicas = num_replicas;
-  out->qps = requests > 0 && seconds > 0 ? requests / seconds : 0.0;
-  out->p99_us = lat.Percentile(0.99);
-  out->p999_us = lat.Percentile(0.999);
-  return true;
 }
 
 }  // namespace
@@ -234,174 +132,13 @@ int main(int argc, char** argv) {
               single_s / TimeCompiledThreads(compiled, table, 8, &got),
               std::thread::hardware_concurrency());
 
-  // Single-thread batched traversal per node layout, byte-parity
-  // checked against the row-at-a-time reference. Quantized needs the
-  // serving table's bin index; with one bin per distinct value every
-  // exact-split threshold is a bin upper, so no tree falls back.
-  std::printf("\n== Node-layout sweep: single-thread bulk scoring "
-              "(simd=%s) ==\n", SimdLevelName(ActiveSimdLevel()));
-  std::shared_ptr<const BinnedTable> serve_bins =
-      BinnedTable::Build(table, 65535);
-  const int layout_iters = options.quick ? 3 : 5;
-  TablePrinter layout_out(
-      {"Layout", "Achieved", "Rows/s", "Speedup vs soa", "Same labels"});
-  double layout_rps[3] = {0.0, 0.0, 0.0};
-  for (NodeLayout want : {NodeLayout::kSoa, NodeLayout::kPacked,
-                          NodeLayout::kQuantized}) {
-    const NodeLayout got_layout = compiled.Repack(
-        want, want == NodeLayout::kQuantized ? serve_bins : nullptr);
-    double seconds = 0.0;
-    bool same = true;
-    for (int i = 0; i < layout_iters; ++i) {
-      seconds += TimeCompiledThreads(compiled, table, 1, &got);
-      same = same && got == ref_labels;
-    }
-    const double rps = RowsPerSec(rows * layout_iters, seconds);
-    layout_rps[static_cast<int>(want)] = rps;
-    layout_out.AddRow({NodeLayoutName(want), NodeLayoutName(got_layout),
-                       Fmt(rps, 0),
-                       Fmt(rps / layout_rps[0], 2) + "x",
-                       same ? "yes" : "NO"});
-    if (!same) {
-      std::printf("FATAL: %s layout labels diverge\n", NodeLayoutName(want));
-      return 1;
-    }
-  }
-  layout_out.Print();
-  const double traversal_speedup =
-      layout_rps[0] > 0
-          ? std::max(layout_rps[1], layout_rps[2]) / layout_rps[0]
-          : 0.0;
-  // Anchor against the row-at-a-time reference as well: ref code is
-  // untouched by layout/SIMD work, so best_layout/ref is the number to
-  // compare across sessions on a noisy box (the pre-PR recording of
-  // this ratio is compiled_speedup, which was soa-only).
-  const double best_vs_ref =
-      ref_s > 0 ? std::max(layout_rps[1], layout_rps[2]) / (rows / ref_s) : 0.0;
-  std::printf("best layout vs row-at-a-time reference: %.2fx "
-              "(soa-only compiled_speedup above: %.2fx)\n",
-              best_vs_ref, ref_s / single_s);
-
-  // End-to-end micro-batching server: submit every row as its own
-  // request and read latency percentiles back out of the registry.
-  BinaryWriter model_writer;
-  forest.Serialize(&model_writer);
-  const std::string model_bytes = model_writer.Release();
-  MetricsRegistry metrics;
-  ModelRegistry registry;
-  if (!registry.SetDefaultLayout(options.node_layout).ok()) return 1;
-  if (!registry.Publish("bench", std::move(forest)).ok()) return 1;
-  InferenceServerConfig server_cfg;
-  server_cfg.num_workers = 4;
-  server_cfg.max_batch = 256;
-  server_cfg.batch_deadline_us = 200;
-  server_cfg.max_queue = rows + 1;
-  server_cfg.metrics = &metrics;
-  InferenceServer server(&registry, server_cfg);
-  server.Start();
-  auto shared_table = std::make_shared<DataTable>(table);
-  // Closed loop with a bounded window of outstanding requests, so the
-  // latency percentiles measure micro-batching + execution delay rather
-  // than the time to drain a 60k-deep backlog.
-  const size_t window = 4096;
-  std::vector<std::future<Result<Prediction>>> futures;
-  futures.reserve(rows);
-  size_t mismatches = 0;
-  size_t next_wait = 0;
-  WallTimer serve_timer;
-  for (size_t i = 0; i < rows; ++i) {
-    PredictRequest req;
-    req.model = "bench";
-    req.table = shared_table;
-    req.row = static_cast<uint32_t>(i);
-    futures.push_back(server.Predict(std::move(req)));
-    while (futures.size() - next_wait > window) {
-      auto r = futures[next_wait].get();
-      if (!r.ok() || r->label != ref_labels[next_wait]) ++mismatches;
-      ++next_wait;
-    }
-  }
-  for (; next_wait < rows; ++next_wait) {
-    auto r = futures[next_wait].get();
-    if (!r.ok() || r->label != ref_labels[next_wait]) ++mismatches;
-  }
-  const double serve_s = serve_timer.Seconds();
-  server.Stop();
-  if (mismatches != 0) {
-    std::printf("FATAL: %zu served predictions diverge\n", mismatches);
-    return 1;
-  }
-  Histogram::Snapshot lat =
-      metrics.GetHistogram("serve.latency_us.bench")->snapshot();
-  Histogram::Snapshot batch =
-      metrics.GetHistogram("serve.batch_rows")->snapshot();
-  std::printf(
-      "server: %.0f rows/s end-to-end, %llu batches (mean %.1f rows), "
-      "latency p50 <= %lluus p99 <= %lluus max %lluus\n",
-      RowsPerSec(rows, serve_s),
-      static_cast<unsigned long long>(
-          metrics.GetCounter("serve.batches")->value()),
-      batch.Mean(), static_cast<unsigned long long>(lat.Percentile(0.50)),
-      static_cast<unsigned long long>(lat.Percentile(0.99)),
-      static_cast<unsigned long long>(lat.max));
-
-  char serve_json[768];
+  char serve_json[256];
   std::snprintf(serve_json, sizeof(serve_json),
                 "{\"bench\":\"serve\",\"rows\":%zu,\"trees\":%d,"
-                "\"simd\":\"%s\",\"layout\":\"%s\","
-                "\"compiled_speedup\":%.2f,\"compile_s\":%.3f,"
-                "\"st_soa_rows_per_sec\":%.0f,"
-                "\"st_packed_rows_per_sec\":%.0f,"
-                "\"st_quantized_rows_per_sec\":%.0f,"
-                "\"traversal_speedup\":%.2f,"
-                "\"best_layout_speedup_vs_ref\":%.2f,"
-                "\"server_qps\":%.0f,\"p50_us\":%llu,\"p99_us\":%llu,"
-                "\"max_us\":%llu}\n",
+                "\"simd\":\"%s\",\"compiled_speedup\":%.2f,"
+                "\"compile_s\":%.3f}\n",
                 rows, trees, SimdLevelName(ActiveSimdLevel()),
-                NodeLayoutName(options.node_layout), ref_s / single_s,
-                compile_s, layout_rps[0], layout_rps[1], layout_rps[2],
-                traversal_speedup, best_vs_ref, RowsPerSec(rows, serve_s),
-                static_cast<unsigned long long>(lat.Percentile(0.50)),
-                static_cast<unsigned long long>(lat.Percentile(0.99)),
-                static_cast<unsigned long long>(lat.max));
+                ref_s / single_s, compile_s);
   WriteJsonFile("BENCH_serve.json", serve_json);
-
-  // Replicated fleet: the same model pushed through a FleetRouter to
-  // 1/2/4 in-process replicas, closed-loop batched load, parity
-  // checked on every returned label.
-  const size_t fleet_requests = options.quick ? 2000 : 8000;
-  const size_t rows_per_batch = 16;
-  TablePrinter fleet_out({"Replicas", "QPS (batches/s)", "Rows/s", "p99 (us)",
-                          "p999 (us)"});
-  std::string fleet_json = "{\"bench\":\"serve-fleet\",\"requests\":" +
-                           std::to_string(fleet_requests) +
-                           ",\"rows_per_batch\":" +
-                           std::to_string(rows_per_batch) + ",\"points\":[";
-  bool first = true;
-  for (int replicas : {1, 2, 4}) {
-    FleetBenchPoint point;
-    if (!RunFleetBench(replicas, options.node_layout, model_bytes, table,
-                       ref_labels, fleet_requests, rows_per_batch, &point)) {
-      return 1;
-    }
-    fleet_out.AddRow({std::to_string(point.replicas), Fmt(point.qps, 0),
-                      Fmt(point.qps * rows_per_batch, 0),
-                      std::to_string(point.p99_us),
-                      std::to_string(point.p999_us)});
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"replicas\":%d,\"qps\":%.0f,\"p99_us\":%llu,"
-                  "\"p999_us\":%llu}",
-                  first ? "" : ",", point.replicas, point.qps,
-                  static_cast<unsigned long long>(point.p99_us),
-                  static_cast<unsigned long long>(point.p999_us));
-    fleet_json += buf;
-    first = false;
-  }
-  fleet_json += "]}\n";
-  std::printf("== Fleet sweep: %zu batched requests x %zu rows ==\n",
-              fleet_requests, rows_per_batch);
-  fleet_out.Print();
-  WriteJsonFile("BENCH_fleet.json", fleet_json);
   return 0;
 }

@@ -60,16 +60,6 @@ BenchOptions BenchOptions::Parse(int argc, char** argv) {
       options.split_method = SplitMethod::kExact;
     } else if (std::strncmp(arg, "--max-bins=", 11) == 0) {
       options.max_bins = std::atoi(arg + 11);
-    } else if (std::strncmp(arg, "--node-layout=", 14) == 0) {
-      NodeLayout layout;
-      if (ParseNodeLayout(arg + 14, &layout) &&
-          layout != NodeLayout::kQuantized) {
-        options.node_layout = layout;
-      } else {
-        std::fprintf(stderr,
-                     "[bench] ignoring --node-layout=%s (want soa|packed; "
-                     "quantized is bulk-scoring only)\n", arg + 14);
-      }
     }
   }
   if (!options.trace_out.empty() || options.dump_metrics) {

@@ -13,7 +13,7 @@ namespace treeserver {
 /// optional TS_SIMD environment override (`TS_SIMD=off|scalar|avx2|
 /// neon|auto`). Every SIMD kernel has a scalar twin producing
 /// bit-identical results, so the level only changes speed, never
-/// output — see tree/hist_kernels.h and serve/packed_tree.h for the
+/// output — see tree/hist_kernels.h and serve/serve_kernels.h for the
 /// exactness arguments, and tests/simd_test.cc for the fuzzed parity
 /// coverage.
 enum class SimdLevel : uint8_t {

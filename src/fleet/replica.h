@@ -27,9 +27,6 @@ struct FleetReplicaConfig {
   /// Inner micro-batching server (its http_port opens the replica's
   /// own /metrics + /statusz when >= 0).
   InferenceServerConfig serve;
-  /// Node layout pushed models are compiled into (soa or packed;
-  /// quantized is bulk-scoring only and rejected by the registry).
-  NodeLayout node_layout = NodeLayout::kSoa;
   /// Destination for fleet.replica.* counters; nullptr uses
   /// MetricsRegistry::Global().
   MetricsRegistry* metrics = nullptr;

@@ -4,7 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <functional>
-#include <set>
+#include <map>
 #include <thread>
 
 #include "common/logging.h"
@@ -72,7 +72,7 @@ CompiledTree CompiledTree::Compile(const TreeModel& tree) {
     out.pmf_pool_.assign(n * static_cast<size_t>(out.num_classes_), 0.0f);
   }
 
-  std::set<int32_t> used;
+  std::map<int32_t, DataType> used;
   for (size_t i = 0; i < n; ++i) {
     const TreeModel::Node& node = tree.node(static_cast<int32_t>(i));
     const SplitCondition& cond = node.condition;
@@ -90,7 +90,7 @@ CompiledTree CompiledTree::Compile(const TreeModel& tree) {
       std::copy_n(node.pmf.data(), copy, dst);
     }
     if (node.is_leaf()) continue;
-    used.insert(cond.column);
+    used.emplace(cond.column, cond.type);
     if (cond.type == DataType::kCategorical) {
       out.is_cat_[i] = 1;
       uint32_t words =
@@ -105,27 +105,11 @@ CompiledTree CompiledTree::Compile(const TreeModel& tree) {
       out.threshold_[i] = cond.threshold;
     }
   }
-  out.used_columns_.assign(used.begin(), used.end());
+  for (const auto& [id, type] : used) {
+    out.used_columns_.push_back(id);
+    out.used_types_.push_back(type);
+  }
   return out;
-}
-
-NodeLayout CompiledTree::Repack(NodeLayout want, const BinnedTable* binned) {
-  packed_ = nullptr;
-  layout_ = NodeLayout::kSoa;
-  if (want == NodeLayout::kQuantized) {
-    TS_CHECK(binned != nullptr) << "quantized layout needs a BinnedTable";
-    packed_ = PackedTree::PackQuantized(*this, *binned);
-    if (packed_ != nullptr) {
-      layout_ = NodeLayout::kQuantized;
-      return layout_;
-    }
-    want = NodeLayout::kPacked;  // thresholds off the bin grid
-  }
-  if (want == NodeLayout::kPacked) {
-    packed_ = PackedTree::Pack(*this);
-    if (packed_ != nullptr) layout_ = NodeLayout::kPacked;
-  }
-  return layout_;
 }
 
 void CompiledTree::BuildContext(const DataTable& table,
@@ -133,8 +117,6 @@ void CompiledTree::BuildContext(const DataTable& table,
                                 RowBlockContext* ctx) {
   ctx->numeric.assign(table.num_columns(), nullptr);
   ctx->category.assign(table.num_columns(), nullptr);
-  ctx->ucodes.clear();
-  ctx->ustorage.clear();
   for (int32_t id : columns) {
     const ColumnPtr& col = table.column(id);
     TS_CHECK(col != nullptr) << "serving table misses split column " << id;
@@ -149,10 +131,6 @@ void CompiledTree::BuildContext(const DataTable& table,
 void CompiledTree::RouteRows(const RowBlockContext& ctx, const uint32_t* rows,
                              size_t n, int max_depth,
                              int32_t* out_nodes) const {
-  if (packed_ != nullptr) {
-    packed_->RouteRows(ctx, rows, n, max_depth, out_nodes);
-    return;
-  }
   const int32_t* col = col_.data();
   const uint8_t* is_cat = is_cat_.data();
   const double* threshold = threshold_.data();
@@ -193,8 +171,6 @@ void CompiledTree::RouteRows(const RowBlockContext& ctx, const uint32_t* rows,
 
 int32_t CompiledTree::RouteRow(const DataTable& table, uint32_t row,
                                int max_depth) const {
-  TS_CHECK(layout_ != NodeLayout::kQuantized)
-      << "RouteRow has no bin codes; quantized trees are bulk-scoring only";
   RowBlockContext ctx;
   BuildContext(table, used_columns_, &ctx);
   int32_t node = 0;
@@ -206,14 +182,19 @@ CompiledForest CompiledForest::Compile(const ForestModel& forest) {
   CompiledForest out;
   out.kind_ = forest.kind();
   out.num_classes_ = forest.num_classes();
-  std::set<int32_t> used;
+  std::map<int32_t, DataType> used;
   out.trees_.reserve(forest.num_trees());
   for (size_t i = 0; i < forest.num_trees(); ++i) {
     out.trees_.push_back(CompiledTree::Compile(forest.tree(i)));
-    const std::vector<int32_t>& cols = out.trees_.back().used_columns();
-    used.insert(cols.begin(), cols.end());
+    const CompiledTree& tree = out.trees_.back();
+    for (size_t c = 0; c < tree.used_columns().size(); ++c) {
+      used.emplace(tree.used_columns()[c], tree.used_column_types()[c]);
+    }
   }
-  out.used_columns_.assign(used.begin(), used.end());
+  for (const auto& [id, type] : used) {
+    out.used_columns_.push_back(id);
+    out.used_types_.push_back(type);
+  }
   return out;
 }
 
@@ -223,75 +204,22 @@ CompiledForest CompiledForest::Compile(const TreeModel& tree) {
   return Compile(forest);
 }
 
-NodeLayout CompiledForest::Repack(NodeLayout want,
-                                  std::shared_ptr<const BinnedTable> binned) {
-  quant_binned_ = want == NodeLayout::kQuantized ? std::move(binned) : nullptr;
-  NodeLayout achieved = want;
-  bool any_quant = false;
-  for (CompiledTree& tree : trees_) {
-    achieved = std::min(achieved, tree.Repack(want, quant_binned_.get()));
-    any_quant = any_quant || tree.layout() == NodeLayout::kQuantized;
-  }
-  // If no tree quantized, future contexts don't need bin codes.
-  if (!any_quant) quant_binned_ = nullptr;
-  layout_ = achieved;
-  return achieved;
-}
-
-void CompiledForest::BuildContext(const DataTable& table,
-                                  RowBlockContext* ctx) const {
-  CompiledTree::BuildContext(table, used_columns_, ctx);
-  if (quant_binned_ == nullptr) return;
-  // Quantized trees route on precomputed bin codes of the stationary
-  // serving table; the BinnedTable was built from that very table.
-  // Every used column gets a uniform uint16 code array with the
-  // per-column missing code rewritten to the universal kStopCode, so
-  // the level walker tests missingness against one constant instead of
-  // loading a per-column stop code every step. The rewrite forces a
-  // copy into ctx->ustorage (except when the column's missing code
-  // already IS kStopCode) — a linear pass that is noise next to the
-  // traversal it feeds.
-  const size_t n = table.num_rows();
-  ctx->ucodes.assign(table.num_columns(), nullptr);
-  for (int32_t id : used_columns_) {
-    const BinnedColumn* bc = quant_binned_->column(id);
-    if (bc != nullptr) {
-      TS_CHECK(bc->num_rows() == table.num_rows())
-          << "quantized layout: BinnedTable does not match the serving table";
-      const uint16_t miss = static_cast<uint16_t>(bc->missing_code());
-      if (bc->codes16_data() != nullptr) {
-        const uint16_t* src = bc->codes16_data();
-        if (miss == RowBlockContext::kStopCode) {
-          ctx->ucodes[id] = src;
-        } else {
-          std::vector<uint16_t>& dst = ctx->ustorage.emplace_back(n);
-          for (size_t i = 0; i < n; ++i) {
-            dst[i] = src[i] == miss ? RowBlockContext::kStopCode : src[i];
-          }
-          ctx->ucodes[id] = dst.data();
-        }
-      } else {
-        const uint8_t* src = bc->codes8_data();
-        const uint8_t miss8 = static_cast<uint8_t>(miss);
-        std::vector<uint16_t>& dst = ctx->ustorage.emplace_back(n);
-        for (size_t i = 0; i < n; ++i) {
-          dst[i] = src[i] == miss8 ? RowBlockContext::kStopCode : src[i];
-        }
-        ctx->ucodes[id] = dst.data();
-      }
-    } else {
-      const int32_t* src = ctx->category[id];
-      TS_CHECK(src != nullptr) << "serving table misses split column " << id;
-      std::vector<uint16_t>& dst = ctx->ustorage.emplace_back(n);
-      for (size_t i = 0; i < n; ++i) {
-        const int32_t c = src[i];
-        dst[i] = c < 0 || c >= RowBlockContext::kStopCode
-                     ? RowBlockContext::kStopCode
-                     : static_cast<uint16_t>(c);
-      }
-      ctx->ucodes[id] = dst.data();
+Status CompiledForest::CheckColumns(const DataTable& table) const {
+  for (size_t c = 0; c < used_columns_.size(); ++c) {
+    const int32_t id = used_columns_[c];
+    if (id < 0 || id >= table.num_columns() || table.column(id) == nullptr) {
+      return Status::InvalidArgument("table has no column " +
+                                     std::to_string(id) +
+                                     ", which the model splits on");
+    }
+    const DataType type = table.column(id)->type();
+    if (type != used_types_[c]) {
+      return Status::InvalidArgument(
+          "column " + std::to_string(id) + " is " + DataTypeName(type) +
+          ", but the model splits on it as " + DataTypeName(used_types_[c]));
     }
   }
+  return Status::OK();
 }
 
 void CompiledForest::PredictPmf(const DataTable& table, const uint32_t* rows,
@@ -301,15 +229,14 @@ void CompiledForest::PredictPmf(const DataTable& table, const uint32_t* rows,
   std::fill(out_pmf, out_pmf + n * k, 0.0f);
   if (trees_.empty()) return;
   RowBlockContext ctx;
-  BuildContext(table, &ctx);
+  CompiledTree::BuildContext(table, used_columns_, &ctx);
   std::vector<int32_t> nodes(n);
   // Accumulate per-tree PMFs in tree order, then scale — the same
   // float operations, in the same order, as ForestModel::PredictPmf
   // (the serve kernels are element-wise, so SIMD changes no bits).
   for (const CompiledTree& tree : trees_) {
     tree.RouteRows(ctx, rows, n, max_depth, nodes.data());
-    servek::AddIndexedPmf(out_pmf, nodes.data(), n, k,
-                          tree.active_pmf_pool());
+    servek::AddIndexedPmf(out_pmf, nodes.data(), n, k, tree.pmf_pool());
   }
   const float inv = 1.0f / static_cast<float>(trees_.size());
   servek::ScaleF32(out_pmf, n * k, inv);
@@ -339,12 +266,11 @@ void CompiledForest::PredictValue(const DataTable& table, const uint32_t* rows,
   std::fill(out_values, out_values + n, 0.0);
   if (trees_.empty()) return;
   RowBlockContext ctx;
-  BuildContext(table, &ctx);
+  CompiledTree::BuildContext(table, used_columns_, &ctx);
   std::vector<int32_t> nodes(n);
   for (const CompiledTree& tree : trees_) {
     tree.RouteRows(ctx, rows, n, max_depth, nodes.data());
-    servek::AddIndexedValue(out_values, nodes.data(), n,
-                            tree.active_values());
+    servek::AddIndexedValue(out_values, nodes.data(), n, tree.values());
   }
   const double count = static_cast<double>(trees_.size());
   // Divide (not multiply by a reciprocal): ForestModel::PredictValue

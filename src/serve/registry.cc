@@ -32,9 +32,6 @@ Result<uint32_t> ModelRegistry::PublishCompiled(const std::string& name,
   served->name = name;
   served->kind = kind;
   served->compiled = CompiledForest::Compile(model);
-  // Re-encode into the configured layout before the model is visible;
-  // layouts are byte-parity, so this is purely a speed choice.
-  served->layout = served->compiled.Repack(default_layout());
   served->source = std::make_shared<const ForestModel>(std::move(model));
 
   Entry* entry = GetOrCreateEntry(name);
@@ -169,7 +166,6 @@ std::vector<ModelRegistry::ModelStatusInfo> ModelRegistry::StatusSnapshot()
     info.version = entry->current->version;
     info.num_versions = entry->versions.size();
     info.kind = entry->current->kind;
-    info.layout = entry->current->layout;
     out.push_back(std::move(info));
   }
   return out;
@@ -181,22 +177,6 @@ std::vector<std::string> ModelRegistry::ModelNames() const {
   names.reserve(entries_.size());
   for (const auto& [name, entry] : entries_) names.push_back(name);
   return names;
-}
-
-Status ModelRegistry::SetDefaultLayout(NodeLayout layout) {
-  if (layout == NodeLayout::kQuantized) {
-    return Status::InvalidArgument(
-        "quantized layout is bulk-scoring only (needs the serving table's "
-        "bin index); the server accepts soa or packed");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  default_layout_ = layout;
-  return Status::OK();
-}
-
-NodeLayout ModelRegistry::default_layout() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return default_layout_;
 }
 
 size_t ModelRegistry::NumVersions(const std::string& name) const {

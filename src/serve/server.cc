@@ -80,8 +80,7 @@ void InferenceServer::Start() {
           body += "{\"name\":\"" + m.name +
                   "\",\"version\":" + std::to_string(m.version) +
                   ",\"num_versions\":" + std::to_string(m.num_versions) +
-                  ",\"kind\":\"" + ModelKindName(m.kind) +
-                  "\",\"layout\":\"" + NodeLayoutName(m.layout) + "\"}";
+                  ",\"kind\":\"" + ModelKindName(m.kind) + "\"}";
         }
       }
       body += "]}\n";
@@ -308,6 +307,13 @@ void InferenceServer::ExecuteBatch(Batch batch) {
   std::vector<double> values;
   for (const auto& [key, indices] : groups) {
     const DataTable& table = *batch.items[indices.front()].request.table;
+    // Tables arrive from outside (fleet batches carry their own
+    // schema): one that lacks a split column or flips its type is
+    // answered here and never reaches the traversal.
+    if (Status st = compiled.CheckColumns(table); !st.ok()) {
+      for (size_t i : indices) batch.items[i].promise.set_value(st);
+      continue;
+    }
     rows.clear();
     rows.reserve(indices.size());
     for (size_t i : indices) rows.push_back(batch.items[i].request.row);

@@ -491,6 +491,69 @@ TEST(FleetRouterTest, RegressionValuesAreByteIdentical) {
   }
 }
 
+TEST(FleetRouterTest, MalformedBatchesAreRejectedAndReplicaKeepsServing) {
+  DataTable table = FleetData(64, 29);
+  ForestModel forest = TrainFleetForest(table);
+  const CompiledForest compiled = CompiledForest::Compile(forest);
+  const std::vector<int32_t>& used = compiled.used_columns();
+  ASSERT_GE(used.back(), 2);
+  std::vector<uint32_t> rows(table.num_rows());
+  for (uint32_t i = 0; i < table.num_rows(); ++i) rows[i] = i;
+
+  // Too few columns: feature 0 and the target only, so the highest
+  // split column is out of range.
+  const int target = table.schema().target_index();
+  Result<DataTable> narrow = DataTable::Make(
+      Schema({table.schema().column(0), table.schema().column(target)}, 1,
+             table.schema().task_kind()),
+      {table.column(0), table.column(target)});
+  ASSERT_TRUE(narrow.ok()) << narrow.status().ToString();
+
+  // Type flip: a numeric split column sent as categorical.
+  int numeric = -1;
+  for (int32_t c : used) {
+    if (table.column(c)->type() == DataType::kNumeric) {
+      numeric = c;
+      break;
+    }
+  }
+  ASSERT_GE(numeric, 0);
+  std::vector<ColumnMeta> metas;
+  std::vector<ColumnPtr> cols;
+  for (int c = 0; c < table.num_columns(); ++c) {
+    metas.push_back(table.schema().column(c));
+    cols.push_back(table.column(c));
+  }
+  metas[numeric] = {"flipped", DataType::kCategorical, 1};
+  cols[numeric] = Column::Categorical(
+      "flipped", std::vector<int32_t>(table.num_rows(), 0), 1);
+  Result<DataTable> flipped = DataTable::Make(
+      Schema(metas, target, table.schema().task_kind()), cols);
+  ASSERT_TRUE(flipped.ok()) << flipped.status().ToString();
+
+  FleetHarness fleet(1);
+  fleet.Start();
+  ASSERT_TRUE(fleet.router->Push("m", SerializeForest(forest)).ok());
+  for (const DataTable* bad : {&*narrow, &*flipped}) {
+    Result<FleetBatchResult> r =
+        fleet.router->PredictRows("m", *bad, rows.data(), rows.size()).get();
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << r.status().ToString();
+  }
+
+  // The same replica still answers a valid batch, byte-identical to
+  // row-at-a-time ForestModel.
+  Result<FleetBatchResult> good =
+      fleet.router->PredictRows("m", table, rows.data(), rows.size()).get();
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  ASSERT_EQ(good->labels.size(), rows.size());
+  for (uint32_t row : rows) {
+    EXPECT_EQ(good->labels[row], forest.PredictLabel(table, row))
+        << "row " << row;
+  }
+}
+
 // ---------------------------------------------------------------------
 // Chaos: the fleet under the PR 7 fault injector.
 // ---------------------------------------------------------------------

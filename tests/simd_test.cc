@@ -1,12 +1,12 @@
 // Randomized scalar-vs-SIMD parity fuzz for the hot-path kernels
-// (tree/hist_kernels.h) and the serving node layouts
-// (serve/packed_tree.h). The contract under test is EXACTNESS, not
+// (tree/hist_kernels.h) and the batched serving accumulators
+// (serve/serve_kernels.h). The contract under test is EXACTNESS, not
 // closeness: histograms must be bit-identical between the scalar
-// reference and the active vector level, and predictions must be
-// byte-identical across soa / packed / quantized layouts at every SIMD
-// level. On a scalar-only build (-DTS_SIMD=OFF) or CPU the level loop
-// degenerates to scalar-vs-scalar and the layout checks still carry
-// the coverage.
+// reference and the active vector level, and compiled predictions must
+// be byte-identical to row-at-a-time ForestModel at every SIMD level.
+// On a scalar-only build (-DTS_SIMD=OFF) or CPU the level loop
+// degenerates to scalar-vs-scalar and the ForestModel comparison still
+// carries the coverage.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -17,7 +17,6 @@
 #include "common/simd.h"
 #include "forest/forest.h"
 #include "serve/compiled_model.h"
-#include "serve/layout.h"
 #include "table/binned.h"
 #include "table/datasets.h"
 #include "tree/hist.h"
@@ -147,14 +146,21 @@ void ExpectBitExact(const NodeHistogram& a, const NodeHistogram& b,
   ASSERT_EQ(a.slots(), b.slots()) << what;
   ASSERT_EQ(a.cls_size(), b.cls_size()) << what;
   ASSERT_EQ(a.reg_size(), b.reg_size()) << what;
-  EXPECT_EQ(std::memcmp(a.cls_data(), b.cls_data(),
-                        a.cls_size() * sizeof(int64_t)),
-            0)
-      << what << ": class counts differ";
-  EXPECT_EQ(std::memcmp(a.reg_data(), b.reg_data(),
-                        a.reg_size() * sizeof(HistRegBin)),
-            0)
-      << what << ": regression bins differ";
+  // A histogram holds either class counts or regression bins; the
+  // other pool is empty and its data() may be null, which memcmp must
+  // not be handed even for a zero length.
+  if (a.cls_size() > 0) {
+    EXPECT_EQ(std::memcmp(a.cls_data(), b.cls_data(),
+                          a.cls_size() * sizeof(int64_t)),
+              0)
+        << what << ": class counts differ";
+  }
+  if (a.reg_size() > 0) {
+    EXPECT_EQ(std::memcmp(a.reg_data(), b.reg_data(),
+                          a.reg_size() * sizeof(HistRegBin)),
+              0)
+        << what << ": regression bins differ";
+  }
 }
 
 /// Builds every column's histogram via the fused BuildMany path at
@@ -235,87 +241,76 @@ TEST(SimdParityTest, RegressionHistogramsBitExact) {
 }
 
 // -------------------------------------------------------------------
-// Serving layouts: byte-identical predictions across soa / packed /
-// quantized at every SIMD level, over ragged scattered batches and
-// depth cutoffs.
+// Serving: byte-identical predictions at every SIMD level and against
+// row-at-a-time ForestModel, over ragged scattered batches and depth
+// cutoffs.
 // -------------------------------------------------------------------
 
-CompiledForest CompileFuzzForest(const DataTable& table, int trees,
-                                 bool sqrt_columns) {
+ForestModel TrainFuzzForest(const DataTable& table, int trees,
+                            bool sqrt_columns) {
   ForestJobSpec spec;
   spec.num_trees = trees;
   spec.tree.max_depth = 9;
   spec.sqrt_columns = sqrt_columns;
-  return CompiledForest::Compile(TrainForestSerial(table, spec, 2));
+  return TrainForestSerial(table, spec, 2);
 }
 
-void CheckLayoutParity(const DataTable& table, CompiledForest* compiled) {
+void CheckServingParity(const DataTable& table, const ForestModel& forest) {
+  const CompiledForest compiled = CompiledForest::Compile(forest);
   const size_t n = table.num_rows();
-  auto bins = BinnedTable::Build(table, 65535);
   Rng rng(31);
-  const bool classification = compiled->is_classification();
-  const size_t k = static_cast<size_t>(compiled->num_classes());
+  const bool classification = compiled.is_classification();
+  const size_t k = static_cast<size_t>(compiled.num_classes());
   for (int max_depth : {-1, 0, 3}) {
     for (size_t m : {size_t{1}, size_t{7}, size_t{127}, size_t{129}, n}) {
       const std::vector<uint32_t> rows = RandomRows(n, m, &rng);
-      // Reference: soa layout at scalar level.
-      compiled->Repack(NodeLayout::kSoa, nullptr);
+      // Reference: row-at-a-time ForestModel.
       std::vector<int32_t> ref_labels(rows.size());
       std::vector<double> ref_values(rows.size());
-      std::vector<float> ref_pmf(rows.size() * k);
-      {
-        ScopedSimdLevel forced(SimdLevel::kScalar);
+      std::vector<float> ref_pmf;
+      for (size_t i = 0; i < rows.size(); ++i) {
         if (classification) {
-          compiled->PredictLabel(table, rows.data(), rows.size(), max_depth,
-                                 ref_labels.data());
-          compiled->PredictPmf(table, rows.data(), rows.size(), max_depth,
-                               ref_pmf.data());
+          ref_labels[i] = forest.PredictLabel(table, rows[i], max_depth);
+          const std::vector<float> p =
+              forest.PredictPmf(table, rows[i], max_depth);
+          ASSERT_EQ(p.size(), k);
+          ref_pmf.insert(ref_pmf.end(), p.begin(), p.end());
         } else {
-          compiled->PredictValue(table, rows.data(), rows.size(), max_depth,
-                                 ref_values.data());
+          ref_values[i] = forest.PredictValue(table, rows[i], max_depth);
         }
       }
-      for (NodeLayout want : {NodeLayout::kSoa, NodeLayout::kPacked,
-                              NodeLayout::kQuantized}) {
-        const NodeLayout got = compiled->Repack(
-            want, want == NodeLayout::kQuantized ? bins : nullptr);
-        // One bin per distinct value makes every exact threshold a bin
-        // upper, so quantization must never fall back.
-        ASSERT_EQ(got, want) << NodeLayoutName(want);
-        for (SimdLevel level : LevelsUnderTest()) {
-          ScopedSimdLevel forced(level);
-          const std::string what = std::string(NodeLayoutName(want)) + "/" +
-                                   SimdLevelName(level) + " depth=" +
-                                   std::to_string(max_depth) + " m=" +
-                                   std::to_string(rows.size());
-          if (classification) {
-            std::vector<int32_t> labels(rows.size());
-            compiled->PredictLabel(table, rows.data(), rows.size(), max_depth,
-                                   labels.data());
-            EXPECT_EQ(labels, ref_labels) << what;
-            std::vector<float> pmf(rows.size() * k);
-            compiled->PredictPmf(table, rows.data(), rows.size(), max_depth,
-                                 pmf.data());
-            EXPECT_EQ(std::memcmp(pmf.data(), ref_pmf.data(),
-                                  pmf.size() * sizeof(float)),
-                      0)
-                << what << ": PMFs not byte-identical";
-          } else {
-            std::vector<double> values(rows.size());
-            compiled->PredictValue(table, rows.data(), rows.size(), max_depth,
-                                   values.data());
-            EXPECT_EQ(std::memcmp(values.data(), ref_values.data(),
-                                  values.size() * sizeof(double)),
-                      0)
-                << what << ": values not byte-identical";
-          }
+      for (SimdLevel level : LevelsUnderTest()) {
+        ScopedSimdLevel forced(level);
+        const std::string what = std::string(SimdLevelName(level)) +
+                                 " depth=" + std::to_string(max_depth) +
+                                 " m=" + std::to_string(rows.size());
+        if (classification) {
+          std::vector<int32_t> labels(rows.size());
+          compiled.PredictLabel(table, rows.data(), rows.size(), max_depth,
+                                labels.data());
+          EXPECT_EQ(labels, ref_labels) << what;
+          std::vector<float> pmf(rows.size() * k);
+          compiled.PredictPmf(table, rows.data(), rows.size(), max_depth,
+                              pmf.data());
+          EXPECT_EQ(std::memcmp(pmf.data(), ref_pmf.data(),
+                                pmf.size() * sizeof(float)),
+                    0)
+              << what << ": PMFs not byte-identical";
+        } else {
+          std::vector<double> values(rows.size());
+          compiled.PredictValue(table, rows.data(), rows.size(), max_depth,
+                                values.data());
+          EXPECT_EQ(std::memcmp(values.data(), ref_values.data(),
+                                values.size() * sizeof(double)),
+                    0)
+              << what << ": values not byte-identical";
         }
       }
     }
   }
 }
 
-TEST(SimdParityTest, ClassificationServingLayoutsByteIdentical) {
+TEST(SimdParityTest, ClassificationServingByteIdentical) {
   DatasetProfile profile;
   profile.name = "simd_fuzz_cls";
   profile.rows = 2500;
@@ -324,11 +319,10 @@ TEST(SimdParityTest, ClassificationServingLayoutsByteIdentical) {
   profile.num_classes = 4;
   profile.missing_fraction = 0.08;
   DataTable table = GenerateTable(profile, 17);
-  CompiledForest compiled = CompileFuzzForest(table, 6, /*sqrt_columns=*/true);
-  CheckLayoutParity(table, &compiled);
+  CheckServingParity(table, TrainFuzzForest(table, 6, /*sqrt_columns=*/true));
 }
 
-TEST(SimdParityTest, RegressionServingLayoutsByteIdentical) {
+TEST(SimdParityTest, RegressionServingByteIdentical) {
   DatasetProfile profile;
   profile.name = "simd_fuzz_reg";
   profile.rows = 2500;
@@ -337,14 +331,12 @@ TEST(SimdParityTest, RegressionServingLayoutsByteIdentical) {
   profile.num_classes = 0;  // regression
   profile.missing_fraction = 0.08;
   DataTable table = GenerateTable(profile, 19);
-  CompiledForest compiled = CompileFuzzForest(table, 5, /*sqrt_columns=*/true);
-  CheckLayoutParity(table, &compiled);
+  CheckServingParity(table, TrainFuzzForest(table, 5, /*sqrt_columns=*/true));
 }
 
-TEST(SimdParityTest, WideCategoricalColumnsAcrossLayouts) {
-  // 100 categories force multi-word bitmasks in the packed layout and
-  // >64-slot route tables in the quantized one, with missing
-  // categories and (rare) codes the training split never saw.
+TEST(SimdParityTest, WideCategoricalColumnsServingByteIdentical) {
+  // 100 categories force multi-word categorical bitmasks, with
+  // missing categories and (rare) codes the training split never saw.
   const size_t n = 2000;
   const int card = 100;
   Rng rng(59);
@@ -370,8 +362,8 @@ TEST(SimdParityTest, WideCategoricalColumnsAcrossLayouts) {
                               std::move(cols));
   ASSERT_TRUE(made.ok());
   DataTable table = std::move(made).value();
-  CompiledForest compiled = CompileFuzzForest(table, 4, /*sqrt_columns=*/false);
-  CheckLayoutParity(table, &compiled);
+  CheckServingParity(table,
+                     TrainFuzzForest(table, 4, /*sqrt_columns=*/false));
 }
 
 }  // namespace

@@ -76,13 +76,12 @@ echo "== ubsan: configure + build =="
 cmake -B build-ubsan -S . -DTS_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j
 
-echo "== ubsan: split/histogram/simd kernels + packed layouts + trainer + forest =="
-# Simd*/Packed* add the fused vector kernels' gather/offset arithmetic
-# and the bit-packed node decoding (20-bit fields, route-table clamps)
-# on top of the original split/trainer coverage.
+echo "== ubsan: split/histogram/simd kernels + trainer + forest =="
+# Simd* adds the fused vector kernels' gather/offset arithmetic on top
+# of the original split/trainer coverage.
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   ./build-ubsan/tests/treeserver_tests \
-  --gtest_filter='Split*:Binned*:NodeHistogram*:Hist*:Trainer*:Forest*:Simd*:Packed*'
+  --gtest_filter='Split*:Binned*:NodeHistogram*:Hist*:Trainer*:Forest*:Simd*'
 
 echo "== scalar-only: configure + build + ctest (-DTS_SIMD=OFF) =="
 # The parity suites must also pass with every vector translation unit

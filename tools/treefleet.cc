@@ -89,9 +89,6 @@ struct FleetOptions {
   int http_port = -1;
   bool trace = false;
 
-  // Serving node layout (replica): soa | packed.
-  NodeLayout node_layout = NodeLayout::kSoa;
-
   // HTTP client subcommands.
   std::string router_addr;  // H:P
   std::string name = "m";
@@ -129,7 +126,7 @@ void Usage() {
       "  treefleet train --out=FILE [--rows --features --categorical\n"
       "      --classes --data-seed --trees --max-depth --job-seed]\n"
       "  treefleet replica --rank=R --workers=N --peers=h:p,...\n"
-      "      [--http-port=P] [--node-layout=soa|packed]\n"
+      "      [--http-port=P]\n"
       "      [--chaos-profile=NAME --chaos-seed=N] [--trace=1]\n"
       "  treefleet drive --model=FILE --workers=N --peers=...\n"
       "      [--requests=N] [--period-us=N] [--deadline-ms=N]\n"
@@ -200,14 +197,6 @@ bool ParseArgs(int argc, char** argv, FleetOptions* opt) {
       opt->http_port = std::atoi(v.c_str());
     } else if (ParseFlag(arg, "trace", &v)) {
       opt->trace = v == "1" || v == "true";
-    } else if (ParseFlag(arg, "node-layout", &v)) {
-      if (!ParseNodeLayout(v.c_str(), &opt->node_layout) ||
-          opt->node_layout == NodeLayout::kQuantized) {
-        std::fprintf(stderr,
-                     "--node-layout=%s: replicas serve soa or packed\n",
-                     v.c_str());
-        return false;
-      }
     } else if (ParseFlag(arg, "router", &v)) {
       opt->router_addr = v;
     } else if (ParseFlag(arg, "name", &v)) {
@@ -336,7 +325,6 @@ int RunReplica(const FleetOptions& opt) {
   FleetReplicaConfig config;
   config.rank = opt.rank;
   config.serve.http_port = opt.http_port;
-  config.node_layout = opt.node_layout;
   FleetReplica replica(net, config);
   replica.Start();
   std::fprintf(stderr, "replica %d: serving\n", opt.rank);
