@@ -31,8 +31,8 @@
 #include "bench_util.h"
 #include "common/timer.h"
 #include "engine/messages.h"
-#include "net/network.h"
 #include "rpc/fault_injection.h"
+#include "rpc/in_process_transport.h"
 #include "rpc/tcp_transport.h"
 #include "rpc/transport.h"
 

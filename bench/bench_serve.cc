@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/simd.h"
 #include "common/timer.h"
 #include "forest/forest.h"
 #include "serve/compiled_model.h"
@@ -135,10 +134,8 @@ int main(int argc, char** argv) {
   char serve_json[256];
   std::snprintf(serve_json, sizeof(serve_json),
                 "{\"bench\":\"serve\",\"rows\":%zu,\"trees\":%d,"
-                "\"simd\":\"%s\",\"compiled_speedup\":%.2f,"
-                "\"compile_s\":%.3f}\n",
-                rows, trees, SimdLevelName(ActiveSimdLevel()),
-                ref_s / single_s, compile_s);
+                "\"compiled_speedup\":%.2f,\"compile_s\":%.3f}\n",
+                rows, trees, ref_s / single_s, compile_s);
   WriteJsonFile("BENCH_serve.json", serve_json);
   return 0;
 }

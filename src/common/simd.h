@@ -6,16 +6,14 @@
 
 namespace treeserver {
 
-/// Vector instruction set the hot-path kernels (histogram builds,
-/// batched traversal helpers) run with. Selected once at startup:
-/// the best level that was (a) compiled in (CMake option TS_SIMD,
-/// default ON) and (b) supported by the CPU we are running on, with an
-/// optional TS_SIMD environment override (`TS_SIMD=off|scalar|avx2|
-/// neon|auto`). Every SIMD kernel has a scalar twin producing
-/// bit-identical results, so the level only changes speed, never
-/// output — see tree/hist_kernels.h and serve/serve_kernels.h for the
-/// exactness arguments, and tests/simd_test.cc for the fuzzed parity
-/// coverage.
+/// Vector instruction set the regression histogram kernel runs with.
+/// Selected once at startup: the best level that was (a) compiled in
+/// (CMake option TS_SIMD, default ON) and (b) supported by the CPU we
+/// are running on, with an optional TS_SIMD environment override
+/// (`TS_SIMD=off|scalar|avx2|neon|auto`). The kernel has a scalar twin
+/// producing bit-identical results, so the level only changes speed,
+/// never output — see tree/hist_kernels.h for the exactness argument,
+/// and tests/simd_test.cc for the fuzzed parity coverage.
 enum class SimdLevel : uint8_t {
   kScalar = 0,
   kAvx2 = 1,

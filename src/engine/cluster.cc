@@ -12,8 +12,8 @@ TreeServerCluster::TreeServerCluster(DataTable table, EngineConfig config)
   TS_CHECK(config_.tau_d <= config_.tau_dfs)
       << "τ_D must not exceed τ_dfs (Fig. 4)";
   table_ = std::make_shared<const DataTable>(std::move(table));
-  network_ = std::make_unique<Network>(config_.num_workers,
-                                       config_.bandwidth_mbps);
+  network_ = std::make_unique<InProcessTransport>(config_.num_workers,
+                                                  config_.bandwidth_mbps);
   task_memory_ = std::make_unique<PeakGauge>();
   master_ = std::make_unique<Master>(table_, network_.get(), config_);
   for (int i = 0; i < config_.num_workers; ++i) {

@@ -6,7 +6,7 @@
 
 #include "engine/master.h"
 #include "engine/worker.h"
-#include "net/network.h"
+#include "rpc/in_process_transport.h"
 
 namespace treeserver {
 
@@ -88,7 +88,7 @@ class TreeServerCluster {
   EngineStats GetEngineStats() const;
 
   const EngineConfig& config() const { return config_; }
-  Network& network() { return *network_; }
+  InProcessTransport& network() { return *network_; }
   const Master& master() const { return *master_; }
 
  private:
@@ -97,7 +97,7 @@ class TreeServerCluster {
   // gauges, the master, and the network.
   EngineConfig config_;
   std::shared_ptr<const DataTable> table_;
-  std::unique_ptr<Network> network_;
+  std::unique_ptr<InProcessTransport> network_;
   std::unique_ptr<PeakGauge> task_memory_;
   std::vector<std::unique_ptr<BusyClock>> busy_clocks_;
   std::unique_ptr<Master> master_;

@@ -1,4 +1,4 @@
-#include "net/network.h"
+#include "rpc/in_process_transport.h"
 
 #include <chrono>
 #include <thread>

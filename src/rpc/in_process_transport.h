@@ -1,5 +1,5 @@
-#ifndef TREESERVER_NET_NETWORK_H_
-#define TREESERVER_NET_NETWORK_H_
+#ifndef TREESERVER_RPC_IN_PROCESS_TRANSPORT_H_
+#define TREESERVER_RPC_IN_PROCESS_TRANSPORT_H_
 
 #include <memory>
 #include <mutex>
@@ -63,10 +63,6 @@ class InProcessTransport : public Transport {
   std::vector<std::unique_ptr<LinkState>> links_;
 };
 
-/// Historical name: the engine's tests, benches and examples grew up
-/// on the simulated network before the Transport split.
-using Network = InProcessTransport;
-
 }  // namespace treeserver
 
-#endif  // TREESERVER_NET_NETWORK_H_
+#endif  // TREESERVER_RPC_IN_PROCESS_TRANSPORT_H_

@@ -81,9 +81,10 @@ struct NetworkStats {
 /// The engine (master, workers) is written against this interface and
 /// never assumes shared memory: everything that crosses a Transport is
 /// serialized bytes. Two implementations exist:
-///  - InProcessTransport (net/network.h): the simulated network the
-///    engine grew up on — all ranks live in one process, delivery is a
-///    queue push, optional bandwidth throttling models a saturated NIC;
+///  - InProcessTransport (rpc/in_process_transport.h): the simulated
+///    network the engine grew up on — all ranks live in one process,
+///    delivery is a queue push, optional bandwidth throttling models a
+///    saturated NIC;
 ///  - TcpTransport (rpc/tcp_transport.h): real sockets between
 ///    separate OS processes, with framing, heartbeats, dead-peer
 ///    detection and reconnect.

@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "common/logging.h"
-#include "serve/serve_kernels.h"
 
 namespace treeserver {
 
@@ -232,14 +231,18 @@ void CompiledForest::PredictPmf(const DataTable& table, const uint32_t* rows,
   CompiledTree::BuildContext(table, used_columns_, &ctx);
   std::vector<int32_t> nodes(n);
   // Accumulate per-tree PMFs in tree order, then scale — the same
-  // float operations, in the same order, as ForestModel::PredictPmf
-  // (the serve kernels are element-wise, so SIMD changes no bits).
+  // float operations, in the same order, as ForestModel::PredictPmf.
   for (const CompiledTree& tree : trees_) {
     tree.RouteRows(ctx, rows, n, max_depth, nodes.data());
-    servek::AddIndexedPmf(out_pmf, nodes.data(), n, k, tree.pmf_pool());
+    const float* pool = tree.pmf_pool();
+    for (size_t i = 0; i < n; ++i) {
+      const float* p = pool + static_cast<size_t>(nodes[i]) * k;
+      float* o = out_pmf + i * k;
+      for (size_t c = 0; c < k; ++c) o[c] += p[c];
+    }
   }
   const float inv = 1.0f / static_cast<float>(trees_.size());
-  servek::ScaleF32(out_pmf, n * k, inv);
+  for (size_t i = 0; i < n * k; ++i) out_pmf[i] *= inv;
 }
 
 void CompiledForest::PredictLabel(const DataTable& table, const uint32_t* rows,
@@ -270,12 +273,13 @@ void CompiledForest::PredictValue(const DataTable& table, const uint32_t* rows,
   std::vector<int32_t> nodes(n);
   for (const CompiledTree& tree : trees_) {
     tree.RouteRows(ctx, rows, n, max_depth, nodes.data());
-    servek::AddIndexedValue(out_values, nodes.data(), n, tree.values());
+    const double* values = tree.values();
+    for (size_t i = 0; i < n; ++i) out_values[i] += values[nodes[i]];
   }
   const double count = static_cast<double>(trees_.size());
   // Divide (not multiply by a reciprocal): ForestModel::PredictValue
   // divides, and the results must be bit-identical.
-  servek::DivF64(out_values, n, count);
+  for (size_t i = 0; i < n; ++i) out_values[i] /= count;
 }
 
 namespace {

@@ -25,33 +25,6 @@ Counter* SubtractionsCounter() {
   return c;
 }
 
-/// Runs one fused chunk of <= kFuseWidth same-width classification
-/// columns with the active vector kernel, or the scalar twins when no
-/// vector kernel applies. Either path yields bit-identical counts.
-template <typename Code>
-void RunClsChunk(SimdLevel level, const Code* const* codes, size_t m,
-                 const int32_t* labels, const uint32_t* rows, size_t n, int c,
-                 int64_t* const* counts, bool fuse_ok) {
-  if (fuse_ok) {
-#if TS_SIMD_ENABLED && (defined(__x86_64__) || defined(_M_X64))
-    if (level == SimdLevel::kAvx2) {
-      histk::ClsFusedAvx2(codes, m, labels, rows, n, c, counts);
-      return;
-    }
-#endif
-#if TS_SIMD_ENABLED && defined(__aarch64__)
-    if (level == SimdLevel::kNeon) {
-      histk::ClsFusedNeon(codes, m, labels, rows, n, c, counts);
-      return;
-    }
-#endif
-  }
-  (void)level;
-  for (size_t k = 0; k < m; ++k) {
-    histk::ClsScalar(codes[k], labels, rows, n, c, counts[k]);
-  }
-}
-
 template <typename Code>
 void RunRegChunk(SimdLevel level, const Code* const* codes, size_t m,
                  const double* y, const uint32_t* rows, size_t n,
@@ -98,8 +71,9 @@ void NodeHistogram::BuildMany(const BinnedColumn* const* cols, size_t num_cols,
   const int32_t* labels = cls ? target.categorical_codes().data() : nullptr;
   const double* y = cls ? nullptr : target.numeric_values().data();
 
-  // Shape the outputs and group binned columns by code width; the
-  // fused kernels want homogeneous pointer types per pass.
+  // Shape the outputs. Classification columns accumulate right here,
+  // one scalar pass each; regression columns are grouped by code width,
+  // since the fused kernels want homogeneous pointer types per pass.
   std::vector<size_t> narrow;
   std::vector<size_t> wide;
   narrow.reserve(num_cols);
@@ -113,9 +87,16 @@ void NodeHistogram::BuildMany(const BinnedColumn* const* cols, size_t num_cols,
     if (cls) {
       h.num_classes_ = c;
       h.cls_.assign(static_cast<size_t>(h.slots_) * c, 0);
-    } else {
-      h.reg_.assign(h.slots_, HistRegBin{});
+      if (bc->wide()) {
+        histk::ClsScalar(bc->codes16_data(), labels, rows, n, c,
+                         h.cls_.data());
+      } else {
+        histk::ClsScalar(bc->codes8_data(), labels, rows, n, c,
+                         h.cls_.data());
+      }
+      continue;
     }
+    h.reg_.assign(h.slots_, HistRegBin{});
     (bc->wide() ? wide : narrow).push_back(i);
   }
 
@@ -129,43 +110,22 @@ void NodeHistogram::BuildMany(const BinnedColumn* const* cols, size_t num_cols,
     for (size_t g = 0; g < group.size(); g += width) {
       const size_t m = std::min(width, group.size() - g);
       const Code* codes[histk::kFuseWidth];
+      HistRegBin* bins[histk::kFuseWidth];
+      int slots[histk::kFuseWidth];
       bool fuse_ok = vec;
-      if (cls) {
-        int64_t* counts[histk::kFuseWidth];
-        for (size_t k = 0; k < m; ++k) {
-          const BinnedColumn& bc = *cols[group[g + k]];
-          if constexpr (std::is_same_v<Code, uint8_t>) {
-            codes[k] = bc.codes8_data();
-          } else {
-            codes[k] = bc.codes16_data();
-          }
-          NodeHistogram& h = out[group[g + k]];
-          counts[k] = h.cls_.data();
-          // The vector kernel precomputes epi32 scatter indices.
-          if (h.cls_.size() >
-              static_cast<size_t>(std::numeric_limits<int32_t>::max())) {
-            fuse_ok = false;
-          }
+      for (size_t k = 0; k < m; ++k) {
+        const BinnedColumn& bc = *cols[group[g + k]];
+        if constexpr (std::is_same_v<Code, uint8_t>) {
+          codes[k] = bc.codes8_data();
+        } else {
+          codes[k] = bc.codes16_data();
         }
-        RunClsChunk<Code>(level, codes, m, labels, rows, n, c, counts,
-                          fuse_ok);
-      } else {
-        HistRegBin* bins[histk::kFuseWidth];
-        int slots[histk::kFuseWidth];
-        for (size_t k = 0; k < m; ++k) {
-          const BinnedColumn& bc = *cols[group[g + k]];
-          if constexpr (std::is_same_v<Code, uint8_t>) {
-            codes[k] = bc.codes8_data();
-          } else {
-            codes[k] = bc.codes16_data();
-          }
-          NodeHistogram& h = out[group[g + k]];
-          bins[k] = h.reg_.data();
-          slots[k] = h.slots_;
-          if (h.slots_ > histk::kFusedRegMaxSlots) fuse_ok = false;
-        }
-        RunRegChunk<Code>(level, codes, m, y, rows, n, slots, bins, fuse_ok);
+        NodeHistogram& h = out[group[g + k]];
+        bins[k] = h.reg_.data();
+        slots[k] = h.slots_;
+        if (h.slots_ > histk::kFusedRegMaxSlots) fuse_ok = false;
       }
+      RunRegChunk<Code>(level, codes, m, y, rows, n, slots, bins, fuse_ok);
     }
   };
   run_group(uint8_t{0}, narrow);

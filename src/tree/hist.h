@@ -40,12 +40,12 @@ struct HistRegBin {
 /// re-associate, so derivation is only used where the choice of which
 /// sibling to derive is itself deterministic (inside TrainTree).
 ///
-/// Accumulation runs through the runtime-dispatched kernels of
-/// tree/hist_kernels.h (scalar / AVX2 / NEON, common/simd.h). Every
-/// kernel preserves the per-bin accumulation order of the scalar
-/// reference, so the built histograms are bit-identical across levels
-/// — integer class counts commute outright, and the vectorized
-/// regression kernel keeps one accumulator per bin fed in row order.
+/// Accumulation runs through the kernels of tree/hist_kernels.h:
+/// classification always through the scalar twin, regression through
+/// the runtime-dispatched fused kernel (scalar / AVX2 / NEON,
+/// common/simd.h). The vectorized regression kernel keeps one
+/// accumulator per bin fed in row order, so the built histograms are
+/// bit-identical across levels.
 class NodeHistogram {
  public:
   NodeHistogram() = default;
@@ -55,10 +55,11 @@ class NodeHistogram {
                              const SplitContext& ctx, const uint32_t* rows,
                              size_t n);
 
-  /// Builds the histograms of several columns of the same node in one
-  /// fused pass: the target is read once per row and up to four
-  /// same-width columns accumulate together, which is where the SIMD
-  /// kernels earn their keep. `cols[i]` may be nullptr (categorical /
+  /// Builds the histograms of several columns of the same node. For
+  /// regression this is one fused pass: the target is read once per row
+  /// and up to four same-width columns accumulate together, which is
+  /// where the SIMD kernel earns its keep; classification columns take
+  /// one scalar pass each. `cols[i]` may be nullptr (categorical /
   /// unbinned column): `out[i]` stays empty. `out` must hold
   /// `num_cols` default-constructed entries. Results are bit-identical
   /// to per-column Build() calls at every SIMD level.

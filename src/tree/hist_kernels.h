@@ -9,26 +9,28 @@ namespace treeserver {
 struct HistRegBin;
 
 /// Histogram accumulation kernels behind NodeHistogram::Build /
-/// BuildMany. One scalar reference implementation plus fused
-/// vectorized twins per SIMD level (common/simd.h); the dispatch in
-/// tree/hist.cc picks one per column group at build time.
+/// BuildMany. Scalar reference twins for both tasks, plus one fused
+/// vectorized regression kernel per SIMD level (common/simd.h); the
+/// dispatch in tree/hist.cc picks a path per column group at build
+/// time. Classification always takes the scalar twin: a vector kernel
+/// that precomputed the `code * num_classes + label` slot indices ran
+/// slower than the plain loop at every measured table shape (DESIGN.md
+/// §15).
 ///
-/// Exactness contract (fuzz-verified in tests/simd_test.cc): every
-/// kernel produces histograms bit-identical to the scalar reference.
-///   - Classification counts are int64 increments; integer addition
-///     commutes, so any accumulation schedule is exact.
-///   - Regression sums are doubles, where reassociation changes
-///     rounding — so every kernel keeps ONE accumulator per bin and
-///     feeds it in ascending row order (the vector kernels accumulate
-///     a per-bin (count, sum, sum_sq) lane stripe with a single vector
-///     add per row, which is the same per-bin add sequence the scalar
-///     loop performs; y*y is a plain IEEE multiply in both, and the
-///     whole library builds with -ffp-contract=off so no path fuses
-///     it into an FMA).
+/// Exactness contract (fuzz-verified in tests/simd_test.cc): the fused
+/// regression kernel produces histograms bit-identical to RegScalar.
+/// Regression sums are doubles, where reassociation changes rounding —
+/// so it keeps ONE accumulator per bin and feeds it in ascending row
+/// order (a per-bin (count, sum, sum_sq) lane stripe with a single
+/// vector add per row, which is the same per-bin add sequence the
+/// scalar loop performs; y*y is a plain IEEE multiply in both, and the
+/// whole library builds with -ffp-contract=off so no path fuses it into
+/// an FMA).
 ///
-/// All kernels ADD into caller-zeroed outputs. `rows` may be nullptr,
-/// meaning the identity mapping [0, n). `labels`/`y` are indexed by
-/// row id (not by position in `rows`), exactly like the code arrays.
+/// The scalar twins ADD into caller-zeroed outputs; the fused kernels
+/// write every slot of theirs. `rows` may be nullptr, meaning the
+/// identity mapping [0, n). `labels`/`y` are indexed by row id (not by
+/// position in `rows`), exactly like the code arrays.
 namespace histk {
 
 // -- Scalar reference twins (one column at a time) --------------------
@@ -42,20 +44,13 @@ void RegScalar(const uint8_t* codes, const double* y, const uint32_t* rows,
 void RegScalar(const uint16_t* codes, const double* y, const uint32_t* rows,
                size_t n, HistRegBin* bins);
 
-// -- Fused vector kernels (1..4 same-width columns per pass) ----------
+// -- Fused regression kernels (1..4 same-width columns per pass) ------
 //
-// `codes[k]` / outputs `counts[k]` (classification, slots*c entries,
-// bin-major) or `bins[k]` (regression, slots[k] entries). Only invoked
-// when the matching SimdLevel is active; the translation units are
+// `codes[k]` / outputs `bins[k]` (slots[k] entries). Only invoked when
+// the matching SimdLevel is active; the translation units are
 // compile-gated per architecture (CMake TS_SIMD).
 
 #if TS_SIMD_ENABLED && (defined(__x86_64__) || defined(_M_X64))
-void ClsFusedAvx2(const uint8_t* const* codes, size_t ncols,
-                  const int32_t* labels, const uint32_t* rows, size_t n,
-                  int c, int64_t* const* counts);
-void ClsFusedAvx2(const uint16_t* const* codes, size_t ncols,
-                  const int32_t* labels, const uint32_t* rows, size_t n,
-                  int c, int64_t* const* counts);
 void RegFusedAvx2(const uint8_t* const* codes, size_t ncols, const double* y,
                   const uint32_t* rows, size_t n, const int* slots,
                   HistRegBin* const* bins);
@@ -65,12 +60,6 @@ void RegFusedAvx2(const uint16_t* const* codes, size_t ncols, const double* y,
 #endif
 
 #if TS_SIMD_ENABLED && defined(__aarch64__)
-void ClsFusedNeon(const uint8_t* const* codes, size_t ncols,
-                  const int32_t* labels, const uint32_t* rows, size_t n,
-                  int c, int64_t* const* counts);
-void ClsFusedNeon(const uint16_t* const* codes, size_t ncols,
-                  const int32_t* labels, const uint32_t* rows, size_t n,
-                  int c, int64_t* const* counts);
 void RegFusedNeon(const uint8_t* const* codes, size_t ncols, const double* y,
                   const uint32_t* rows, size_t n, const int* slots,
                   HistRegBin* const* bins);

@@ -1,4 +1,4 @@
-// AVX2 histogram kernels. This translation unit is the only part of
+// AVX2 regression histogram kernel. This translation unit is the only part of
 // src/tree compiled with -mavx2 (see src/CMakeLists.txt); everything
 // else stays at the baseline ISA so the scalar twins cannot silently
 // pick up AVX encodings. Compiled empty unless TS_SIMD is ON and the
@@ -16,71 +16,6 @@
 namespace treeserver {
 namespace histk {
 namespace {
-
-// Widens 8 consecutive bin codes to epi32 lanes.
-inline __m256i LoadWiden8(const uint8_t* p) {
-  return _mm256_cvtepu8_epi32(
-      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
-}
-inline __m256i LoadWiden8(const uint16_t* p) {
-  return _mm256_cvtepu16_epi32(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
-}
-
-// Classification: the SIMD win is precomputing the scatter indices
-// (code * num_classes + label) eight rows at a time for up to four
-// columns, leaving only the dependent int64 increments scalar. The
-// increments are integer adds, so any schedule is bit-exact.
-template <typename Code, int NC>
-void ClsFusedImpl(const Code* const* codes_in, const int32_t* labels,
-                  const uint32_t* rows, size_t n, int c,
-                  int64_t* const* counts_in) {
-  const Code* codes[NC];
-  int64_t* counts[NC];
-  for (int k = 0; k < NC; ++k) {
-    codes[k] = codes_in[k];
-    counts[k] = counts_in[k];
-  }
-  const __m256i vc = _mm256_set1_epi32(c);
-  alignas(32) int32_t idx[NC][8];
-  alignas(32) Code gathered[NC][8];
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    if (rows == nullptr) {
-      const __m256i vl =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(labels + i));
-      for (int k = 0; k < NC; ++k) {
-        const __m256i vi = _mm256_add_epi32(
-            _mm256_mullo_epi32(LoadWiden8(codes[k] + i), vc), vl);
-        _mm256_store_si256(reinterpret_cast<__m256i*>(idx[k]), vi);
-      }
-    } else {
-      const __m256i vr =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows + i));
-      const __m256i vl = _mm256_i32gather_epi32(
-          reinterpret_cast<const int*>(labels), vr, 4);
-      for (int r = 0; r < 8; ++r) {
-        const uint32_t row = rows[i + r];
-        for (int k = 0; k < NC; ++k) gathered[k][r] = codes[k][row];
-      }
-      for (int k = 0; k < NC; ++k) {
-        const __m256i vi = _mm256_add_epi32(
-            _mm256_mullo_epi32(LoadWiden8(gathered[k]), vc), vl);
-        _mm256_store_si256(reinterpret_cast<__m256i*>(idx[k]), vi);
-      }
-    }
-    for (int r = 0; r < 8; ++r) {
-      for (int k = 0; k < NC; ++k) counts[k][idx[k][r]]++;
-    }
-  }
-  for (; i < n; ++i) {
-    const uint32_t row = rows ? rows[i] : static_cast<uint32_t>(i);
-    const int32_t lab = labels[row];
-    for (int k = 0; k < NC; ++k) {
-      counts[k][static_cast<size_t>(codes[k][row]) * c + lab]++;
-    }
-  }
-}
 
 // Regression: each bin owns a 4-double stripe {n, sum, sum_sq, pad} in
 // a scratch arena, updated with ONE vector add per (row, column) —
@@ -172,26 +107,6 @@ void RegFusedImpl(const Code* const* codes_in, const double* y,
 }
 
 template <typename Code>
-void ClsFusedSwitch(const Code* const* codes, size_t ncols,
-                    const int32_t* labels, const uint32_t* rows, size_t n,
-                    int c, int64_t* const* counts) {
-  switch (ncols) {
-    case 1:
-      ClsFusedImpl<Code, 1>(codes, labels, rows, n, c, counts);
-      break;
-    case 2:
-      ClsFusedImpl<Code, 2>(codes, labels, rows, n, c, counts);
-      break;
-    case 3:
-      ClsFusedImpl<Code, 3>(codes, labels, rows, n, c, counts);
-      break;
-    default:
-      ClsFusedImpl<Code, 4>(codes, labels, rows, n, c, counts);
-      break;
-  }
-}
-
-template <typename Code>
 void RegFusedSwitch(const Code* const* codes, size_t ncols, const double* y,
                     const uint32_t* rows, size_t n, const int* slots,
                     HistRegBin* const* bins) {
@@ -212,18 +127,6 @@ void RegFusedSwitch(const Code* const* codes, size_t ncols, const double* y,
 }
 
 }  // namespace
-
-void ClsFusedAvx2(const uint8_t* const* codes, size_t ncols,
-                  const int32_t* labels, const uint32_t* rows, size_t n,
-                  int c, int64_t* const* counts) {
-  ClsFusedSwitch(codes, ncols, labels, rows, n, c, counts);
-}
-
-void ClsFusedAvx2(const uint16_t* const* codes, size_t ncols,
-                  const int32_t* labels, const uint32_t* rows, size_t n,
-                  int c, int64_t* const* counts) {
-  ClsFusedSwitch(codes, ncols, labels, rows, n, c, counts);
-}
 
 void RegFusedAvx2(const uint8_t* const* codes, size_t ncols, const double* y,
                   const uint32_t* rows, size_t n, const int* slots,

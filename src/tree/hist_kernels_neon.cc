@@ -1,8 +1,8 @@
-// NEON histogram kernels (AArch64). Advanced SIMD is mandatory on
-// AArch64, so no extra compile flags are needed; the file compiles
-// empty elsewhere. Same exactness contract as the AVX2 twin: integer
-// class counts commute, regression bins keep one accumulator stripe
-// fed in ascending row order with plain IEEE ops.
+// NEON regression histogram kernel (AArch64). Advanced SIMD is
+// mandatory on AArch64, so no extra compile flags are needed; the file
+// compiles empty elsewhere. Same exactness contract as the AVX2 twin:
+// each bin keeps one accumulator stripe fed in ascending row order with
+// plain IEEE ops.
 #include "tree/hist_kernels.h"
 
 #if TS_SIMD_ENABLED && defined(__aarch64__)
@@ -16,72 +16,6 @@
 namespace treeserver {
 namespace histk {
 namespace {
-
-// Widens 8 consecutive bin codes into two u32x4 halves.
-inline void LoadWiden8(const uint8_t* p, uint32x4_t* lo, uint32x4_t* hi) {
-  const uint16x8_t w = vmovl_u8(vld1_u8(p));
-  *lo = vmovl_u16(vget_low_u16(w));
-  *hi = vmovl_u16(vget_high_u16(w));
-}
-inline void LoadWiden8(const uint16_t* p, uint32x4_t* lo, uint32x4_t* hi) {
-  const uint16x8_t w = vld1q_u16(p);
-  *lo = vmovl_u16(vget_low_u16(w));
-  *hi = vmovl_u16(vget_high_u16(w));
-}
-
-template <typename Code, int NC>
-void ClsFusedImpl(const Code* const* codes_in, const int32_t* labels,
-                  const uint32_t* rows, size_t n, int c,
-                  int64_t* const* counts_in) {
-  const Code* codes[NC];
-  int64_t* counts[NC];
-  for (int k = 0; k < NC; ++k) {
-    codes[k] = codes_in[k];
-    counts[k] = counts_in[k];
-  }
-  const uint32_t uc = static_cast<uint32_t>(c);
-  alignas(16) uint32_t idx[NC][8];
-  alignas(16) Code gathered[NC][8];
-  alignas(16) uint32_t lbuf[8];
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    uint32x4_t vl_lo;
-    uint32x4_t vl_hi;
-    const Code* src[NC];
-    if (rows == nullptr) {
-      vl_lo = vreinterpretq_u32_s32(
-          vld1q_s32(labels + i));
-      vl_hi = vreinterpretq_u32_s32(vld1q_s32(labels + i + 4));
-      for (int k = 0; k < NC; ++k) src[k] = codes[k] + i;
-    } else {
-      for (int r = 0; r < 8; ++r) {
-        const uint32_t row = rows[i + r];
-        lbuf[r] = static_cast<uint32_t>(labels[row]);
-        for (int k = 0; k < NC; ++k) gathered[k][r] = codes[k][row];
-      }
-      vl_lo = vld1q_u32(lbuf);
-      vl_hi = vld1q_u32(lbuf + 4);
-      for (int k = 0; k < NC; ++k) src[k] = gathered[k];
-    }
-    for (int k = 0; k < NC; ++k) {
-      uint32x4_t lo;
-      uint32x4_t hi;
-      LoadWiden8(src[k], &lo, &hi);
-      vst1q_u32(idx[k], vaddq_u32(vmulq_n_u32(lo, uc), vl_lo));
-      vst1q_u32(idx[k] + 4, vaddq_u32(vmulq_n_u32(hi, uc), vl_hi));
-    }
-    for (int r = 0; r < 8; ++r) {
-      for (int k = 0; k < NC; ++k) counts[k][idx[k][r]]++;
-    }
-  }
-  for (; i < n; ++i) {
-    const uint32_t row = rows ? rows[i] : static_cast<uint32_t>(i);
-    const int32_t lab = labels[row];
-    for (int k = 0; k < NC; ++k) {
-      counts[k][static_cast<size_t>(codes[k][row]) * c + lab]++;
-    }
-  }
-}
 
 // Per-bin stripe {n, sum, sum_sq, pad}; two f64x2 adds per
 // (row, column). Same per-bin add order as the scalar twin.
@@ -127,26 +61,6 @@ void RegFusedImpl(const Code* const* codes_in, const double* y,
 }
 
 template <typename Code>
-void ClsFusedSwitch(const Code* const* codes, size_t ncols,
-                    const int32_t* labels, const uint32_t* rows, size_t n,
-                    int c, int64_t* const* counts) {
-  switch (ncols) {
-    case 1:
-      ClsFusedImpl<Code, 1>(codes, labels, rows, n, c, counts);
-      break;
-    case 2:
-      ClsFusedImpl<Code, 2>(codes, labels, rows, n, c, counts);
-      break;
-    case 3:
-      ClsFusedImpl<Code, 3>(codes, labels, rows, n, c, counts);
-      break;
-    default:
-      ClsFusedImpl<Code, 4>(codes, labels, rows, n, c, counts);
-      break;
-  }
-}
-
-template <typename Code>
 void RegFusedSwitch(const Code* const* codes, size_t ncols, const double* y,
                     const uint32_t* rows, size_t n, const int* slots,
                     HistRegBin* const* bins) {
@@ -167,18 +81,6 @@ void RegFusedSwitch(const Code* const* codes, size_t ncols, const double* y,
 }
 
 }  // namespace
-
-void ClsFusedNeon(const uint8_t* const* codes, size_t ncols,
-                  const int32_t* labels, const uint32_t* rows, size_t n,
-                  int c, int64_t* const* counts) {
-  ClsFusedSwitch(codes, ncols, labels, rows, n, c, counts);
-}
-
-void ClsFusedNeon(const uint16_t* const* codes, size_t ncols,
-                  const int32_t* labels, const uint32_t* rows, size_t n,
-                  int c, int64_t* const* counts) {
-  ClsFusedSwitch(codes, ncols, labels, rows, n, c, counts);
-}
 
 void RegFusedNeon(const uint8_t* const* codes, size_t ncols, const double* y,
                   const uint32_t* rows, size_t n, const int* slots,

@@ -16,8 +16,8 @@
 #include "engine/reliable.h"
 #include "engine/worker.h"
 #include "forest/forest.h"
-#include "net/network.h"
 #include "rpc/fault_injection.h"
+#include "rpc/in_process_transport.h"
 #include "table/datasets.h"
 
 namespace treeserver {
@@ -54,7 +54,7 @@ uint64_t CounterValue(const char* name) {
 // ---------------------------------------------------------------------------
 
 TEST(FaultInjectTest, EmptySchedulePassesThroughInOrder) {
-  Network net(2, 0.0);
+  InProcessTransport net(2, 0.0);
   FaultSchedule sched;  // empty
   ASSERT_TRUE(sched.Empty());
   FaultInjectingTransport chaos(&net, sched);
@@ -72,7 +72,7 @@ TEST(FaultInjectTest, EmptySchedulePassesThroughInOrder) {
 }
 
 TEST(FaultInjectTest, CertainDropNeverDelivers) {
-  Network net(2, 0.0);
+  InProcessTransport net(2, 0.0);
   FaultSchedule sched;
   sched.channels[static_cast<int>(ChannelKind::kTask)].drop = 1.0;
   FaultInjectingTransport chaos(&net, sched);
@@ -88,7 +88,7 @@ TEST(FaultInjectTest, CertainDropNeverDelivers) {
 }
 
 TEST(FaultInjectTest, CertainDuplicateDeliversTwice) {
-  Network net(2, 0.0);
+  InProcessTransport net(2, 0.0);
   FaultSchedule sched;
   sched.channels[static_cast<int>(ChannelKind::kTask)].duplicate = 1.0;
   FaultInjectingTransport chaos(&net, sched);
@@ -104,7 +104,7 @@ TEST(FaultInjectTest, CertainDuplicateDeliversTwice) {
 }
 
 TEST(FaultInjectTest, SelfSendsAreNeverTouched) {
-  Network net(2, 0.0);
+  InProcessTransport net(2, 0.0);
   FaultSchedule sched;
   sched.channels[static_cast<int>(ChannelKind::kTask)].drop = 1.0;
   FaultInjectingTransport chaos(&net, sched);
@@ -118,7 +118,7 @@ TEST(FaultInjectTest, SelfSendsAreNeverTouched) {
 }
 
 TEST(FaultInjectTest, CertainCorruptionFlipsExactlyOneBit) {
-  Network net(2, 0.0);
+  InProcessTransport net(2, 0.0);
   FaultSchedule sched;
   sched.channels[static_cast<int>(ChannelKind::kTask)].corrupt = 1.0;
   FaultInjectingTransport chaos(&net, sched);
@@ -140,7 +140,7 @@ TEST(FaultInjectTest, CertainCorruptionFlipsExactlyOneBit) {
 }
 
 TEST(FaultInjectTest, PartitionWindowDropsBothDirections) {
-  Network net(2, 0.0);
+  InProcessTransport net(2, 0.0);
   FaultSchedule sched;
   sched.partitions.push_back({0, kMasterRank, 0, 60000});
   FaultInjectingTransport chaos(&net, sched);
@@ -160,7 +160,7 @@ TEST(FaultInjectTest, SameSeedMakesIdenticalDecisions) {
   sched.seed = 20260808;
   sched.channels[static_cast<int>(ChannelKind::kTask)].drop = 0.5;
   auto run = [&sched] {
-    Network net(2, 0.0);
+    InProcessTransport net(2, 0.0);
     FaultInjectingTransport chaos(&net, sched);
     std::vector<std::string> delivered;
     for (int i = 0; i < 200; ++i) {
@@ -179,7 +179,7 @@ TEST(FaultInjectTest, SameSeedMakesIdenticalDecisions) {
 }
 
 TEST(FaultInjectTest, StopFlushesHeldMessages) {
-  Network net(2, 0.0);
+  InProcessTransport net(2, 0.0);
   FaultSchedule sched;
   sched.stalls.push_back({0, 0, 60000});  // worker 0 frozen for a minute
   FaultInjectingTransport chaos(&net, sched);
@@ -208,7 +208,7 @@ ReliableOptions FastRetry() {
 }
 
 TEST(ReliableLinkTest, AckClearsPending) {
-  Network net(1, 0.0);
+  InProcessTransport net(1, 0.0);
   ReliableLink master_link(&net, kMasterRank, FastRetry());
   ReliableLink worker_link(&net, 0, FastRetry());
   master_link.Start();
@@ -237,7 +237,7 @@ TEST(ReliableLinkTest, AckClearsPending) {
 }
 
 TEST(ReliableLinkTest, DuplicateIsSuppressedAndReAcked) {
-  Network net(1, 0.0);
+  InProcessTransport net(1, 0.0);
   ReliableLink master_link(&net, kMasterRank, FastRetry());
   ReliableLink worker_link(&net, 0, FastRetry());
 
@@ -259,7 +259,7 @@ TEST(ReliableLinkTest, DuplicateIsSuppressedAndReAcked) {
 }
 
 TEST(ReliableLinkTest, CorruptPayloadDroppedWithoutAck) {
-  Network net(1, 0.0);
+  InProcessTransport net(1, 0.0);
   ReliableLink master_link(&net, kMasterRank, FastRetry());
   ReliableLink worker_link(&net, 0, FastRetry());
 
@@ -277,7 +277,7 @@ TEST(ReliableLinkTest, CorruptPayloadDroppedWithoutAck) {
 }
 
 TEST(ReliableLinkTest, StaleGenerationIsFenced) {
-  Network net(1, 0.0);
+  InProcessTransport net(1, 0.0);
   ReliableOptions new_epoch = FastRetry();
   new_epoch.generation = 3;
   ReliableLink new_master(&net, kMasterRank, new_epoch);
@@ -304,7 +304,7 @@ TEST(ReliableLinkTest, StaleGenerationIsFenced) {
 TEST(ReliableLinkTest, RetransmitBridgesDropsEndToEnd) {
   // A 60%-lossy link between two pumped links: at-least-once delivery
   // plus dedup must get exactly one copy of every message through.
-  Network net(1, 0.0);
+  InProcessTransport net(1, 0.0);
   FaultSchedule sched;
   sched.seed = 99;
   sched.channels[static_cast<int>(ChannelKind::kTask)].drop = 0.6;
@@ -351,7 +351,7 @@ TEST(ReliableLinkTest, RetransmitBridgesDropsEndToEnd) {
 }
 
 TEST(ReliableLinkTest, GivesUpOnCrashedPeer) {
-  Network net(1, 0.0);
+  InProcessTransport net(1, 0.0);
   ReliableOptions opts = FastRetry();
   ReliableLink master_link(&net, kMasterRank, opts);
   master_link.Start();
@@ -389,7 +389,7 @@ std::string Bytes(const ForestModel& forest) {
 ForestModel TrainUnderChaos(const EngineConfig& cfg, const ForestJobSpec& spec,
                             const std::string& profile, uint64_t seed) {
   auto table = std::make_shared<const DataTable>(ChaosData(417));
-  Network net(cfg.num_workers, cfg.bandwidth_mbps);
+  InProcessTransport net(cfg.num_workers, cfg.bandwidth_mbps);
   FaultSchedule sched;
   TS_CHECK(FaultSchedule::Profile(profile, seed, &sched));
   FaultInjectingTransport chaos(&net, sched);

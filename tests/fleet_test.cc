@@ -12,8 +12,8 @@
 #include "fleet/router.h"
 #include "fleet/wire.h"
 #include "forest/forest.h"
-#include "net/network.h"
 #include "rpc/fault_injection.h"
+#include "rpc/in_process_transport.h"
 #include "serve/compiled_model.h"
 #include "table/datasets.h"
 

@@ -4,14 +4,14 @@
 
 #include "common/timer.h"
 #include "engine/cost_model.h"
-#include "net/network.h"
+#include "rpc/in_process_transport.h"
 #include "table/datasets.h"
 
 namespace treeserver {
 namespace {
 
 TEST(NetworkTest, RoutesToQueues) {
-  Network net(2, 0.0);
+  InProcessTransport net(2, 0.0);
   net.Send(ChannelKind::kTask, Message{kMasterRank, 0, 1, "plan"});
   net.Send(ChannelKind::kData, Message{1, 0, 2, "data"});
   net.Send(ChannelKind::kTask, Message{0, kMasterRank, 3, "result"});
@@ -28,7 +28,7 @@ TEST(NetworkTest, RoutesToQueues) {
 }
 
 TEST(NetworkTest, CountsBytesPerEndpoint) {
-  Network net(3, 0.0);
+  InProcessTransport net(3, 0.0);
   net.Send(ChannelKind::kData, Message{0, 1, 1, std::string(100, 'x')});
   net.Send(ChannelKind::kData, Message{0, 2, 1, std::string(50, 'x')});
   EXPECT_EQ(net.bytes_sent(0), 100u + 50u + 2 * 24u);
@@ -40,14 +40,14 @@ TEST(NetworkTest, CountsBytesPerEndpoint) {
 }
 
 TEST(NetworkTest, LocalDeliveryIsFree) {
-  Network net(2, 0.0);
+  InProcessTransport net(2, 0.0);
   net.Send(ChannelKind::kData, Message{1, 1, 1, std::string(1000, 'x')});
   EXPECT_EQ(net.bytes_sent(1), 0u);
   EXPECT_TRUE(net.data_queue(1).TryPop().has_value());
 }
 
 TEST(NetworkTest, CrashedWorkerTrafficDropped) {
-  Network net(2, 0.0);
+  InProcessTransport net(2, 0.0);
   net.SetCrashed(1);
   EXPECT_TRUE(net.IsCrashed(1));
   EXPECT_FALSE(net.Send(ChannelKind::kTask, Message{kMasterRank, 1, 1, "x"}));
@@ -57,7 +57,7 @@ TEST(NetworkTest, CrashedWorkerTrafficDropped) {
 }
 
 TEST(NetworkTest, CountsDroppedMessagesPerEndpoint) {
-  Network net(3, 0.0);
+  InProcessTransport net(3, 0.0);
   EXPECT_EQ(net.total_msgs_dropped(), 0u);
   net.SetCrashed(1);
   // Dropped because the destination is crashed: charged to 1.
@@ -86,7 +86,7 @@ TEST(NetworkTest, CountsDroppedMessagesPerEndpoint) {
 TEST(NetworkTest, ThrottleDelaysBigSends) {
   // 1 Mbps -> 125000 bytes/s; 125000 bytes should take about a second.
   // Use a smaller payload to keep the test fast: 12500 bytes ~ 100 ms.
-  Network net(2, 1.0);
+  InProcessTransport net(2, 1.0);
   WallTimer timer;
   net.Send(ChannelKind::kData, Message{0, 1, 1, std::string(12500, 'x')});
   EXPECT_GT(timer.Seconds(), 0.05);

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -188,6 +190,135 @@ TEST(CompiledForestTest, WholeTableConvenienceMatchesBatched) {
   for (size_t i = 0; i < t.num_rows(); ++i) {
     EXPECT_EQ(labels[i], forest.PredictLabel(t, i));
   }
+}
+
+// Byte-identical predictions against row-at-a-time ForestModel over
+// ragged scattered batches and depth cutoffs.
+
+/// A sorted scattered row subset of size m.
+std::vector<uint32_t> RandomRows(size_t n, size_t m, Rng* rng) {
+  std::vector<uint32_t> rows(n);
+  for (size_t i = 0; i < n; ++i) rows[i] = static_cast<uint32_t>(i);
+  rng->Shuffle(&rows);
+  rows.resize(std::min(m, n));
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+ForestModel TrainParityForest(const DataTable& table, int trees,
+                              bool sqrt_columns) {
+  ForestJobSpec spec;
+  spec.num_trees = trees;
+  spec.tree.max_depth = 9;
+  spec.sqrt_columns = sqrt_columns;
+  return TrainForestSerial(table, spec, 2);
+}
+
+void CheckServingParity(const DataTable& table, const ForestModel& forest) {
+  const CompiledForest compiled = CompiledForest::Compile(forest);
+  const size_t n = table.num_rows();
+  Rng rng(31);
+  const bool classification = compiled.is_classification();
+  const size_t k = static_cast<size_t>(compiled.num_classes());
+  for (int max_depth : {-1, 0, 3}) {
+    for (size_t m : {size_t{1}, size_t{7}, size_t{127}, size_t{129}, n}) {
+      const std::vector<uint32_t> rows = RandomRows(n, m, &rng);
+      const std::string what = "depth=" + std::to_string(max_depth) +
+                               " m=" + std::to_string(rows.size());
+      if (classification) {
+        std::vector<int32_t> ref_labels(rows.size());
+        std::vector<float> ref_pmf;
+        for (size_t i = 0; i < rows.size(); ++i) {
+          ref_labels[i] = forest.PredictLabel(table, rows[i], max_depth);
+          const std::vector<float> p =
+              forest.PredictPmf(table, rows[i], max_depth);
+          ASSERT_EQ(p.size(), k);
+          ref_pmf.insert(ref_pmf.end(), p.begin(), p.end());
+        }
+        std::vector<int32_t> labels(rows.size());
+        compiled.PredictLabel(table, rows.data(), rows.size(), max_depth,
+                              labels.data());
+        EXPECT_EQ(labels, ref_labels) << what;
+        std::vector<float> pmf(rows.size() * k);
+        compiled.PredictPmf(table, rows.data(), rows.size(), max_depth,
+                            pmf.data());
+        EXPECT_EQ(std::memcmp(pmf.data(), ref_pmf.data(),
+                              pmf.size() * sizeof(float)),
+                  0)
+            << what << ": PMFs not byte-identical";
+      } else {
+        std::vector<double> ref_values(rows.size());
+        for (size_t i = 0; i < rows.size(); ++i) {
+          ref_values[i] = forest.PredictValue(table, rows[i], max_depth);
+        }
+        std::vector<double> values(rows.size());
+        compiled.PredictValue(table, rows.data(), rows.size(), max_depth,
+                              values.data());
+        EXPECT_EQ(std::memcmp(values.data(), ref_values.data(),
+                              values.size() * sizeof(double)),
+                  0)
+            << what << ": values not byte-identical";
+      }
+    }
+  }
+}
+
+TEST(CompiledForestParityTest, ClassificationServingByteIdentical) {
+  DatasetProfile profile;
+  profile.name = "parity_cls";
+  profile.rows = 2500;
+  profile.num_numeric = 5;
+  profile.num_categorical = 2;
+  profile.num_classes = 4;
+  profile.missing_fraction = 0.08;
+  DataTable table = GenerateTable(profile, 17);
+  CheckServingParity(table,
+                     TrainParityForest(table, 6, /*sqrt_columns=*/true));
+}
+
+TEST(CompiledForestParityTest, RegressionServingByteIdentical) {
+  DatasetProfile profile;
+  profile.name = "parity_reg";
+  profile.rows = 2500;
+  profile.num_numeric = 6;
+  profile.num_categorical = 1;
+  profile.num_classes = 0;  // regression
+  profile.missing_fraction = 0.08;
+  DataTable table = GenerateTable(profile, 19);
+  CheckServingParity(table,
+                     TrainParityForest(table, 5, /*sqrt_columns=*/true));
+}
+
+TEST(CompiledForestParityTest, WideCategoricalColumnsServingByteIdentical) {
+  // 100 categories force multi-word categorical bitmasks, with
+  // missing categories and (rare) codes the training split never saw.
+  const size_t n = 2000;
+  const int card = 100;
+  Rng rng(59);
+  std::vector<int32_t> cat(n);
+  std::vector<double> num(n);
+  std::vector<int32_t> y(n);
+  for (size_t r = 0; r < n; ++r) {
+    cat[r] = rng.Bernoulli(0.05)
+                 ? kMissingCategory
+                 : static_cast<int32_t>(rng.Uniform(card));
+    num[r] = rng.Bernoulli(0.05) ? MissingNumeric()
+                                 : static_cast<double>(rng.Uniform(37));
+    const int32_t base = cat[r] < 0 ? 0 : (cat[r] / 25) % 3;
+    y[r] = rng.Bernoulli(0.1) ? static_cast<int32_t>(rng.Uniform(3)) : base;
+  }
+  std::vector<ColumnMeta> metas = {{"c", DataType::kCategorical, card},
+                                   {"x", DataType::kNumeric, 0},
+                                   {"y", DataType::kCategorical, 3}};
+  std::vector<ColumnPtr> cols = {Column::Categorical("c", std::move(cat), card),
+                                 Column::Numeric("x", std::move(num)),
+                                 Column::Categorical("y", std::move(y), 3)};
+  auto made = DataTable::Make(Schema(metas, 2, TaskKind::kClassification),
+                              std::move(cols));
+  ASSERT_TRUE(made.ok());
+  DataTable table = std::move(made).value();
+  CheckServingParity(table,
+                     TrainParityForest(table, 4, /*sqrt_columns=*/false));
 }
 
 TEST(CompiledCascadeTest, MatchesDeepForestPredictions) {

@@ -1,12 +1,11 @@
-// Randomized scalar-vs-SIMD parity fuzz for the hot-path kernels
-// (tree/hist_kernels.h) and the batched serving accumulators
-// (serve/serve_kernels.h). The contract under test is EXACTNESS, not
-// closeness: histograms must be bit-identical between the scalar
-// reference and the active vector level, and compiled predictions must
-// be byte-identical to row-at-a-time ForestModel at every SIMD level.
-// On a scalar-only build (-DTS_SIMD=OFF) or CPU the level loop
-// degenerates to scalar-vs-scalar and the ForestModel comparison still
-// carries the coverage.
+// Randomized parity fuzz for the histogram kernels (tree/hist_kernels.h).
+// The contract under test is EXACTNESS, not closeness: every built
+// histogram must be bit-identical to a plain in-test count/sum loop.
+// Regression runs at scalar and at the detected vector level, where the
+// fused kernel must keep the reference's per-bin add order;
+// classification has one path, the scalar twin. On a scalar-only build
+// (-DTS_SIMD=OFF) or CPU the level loop degenerates to scalar and the
+// reference loop still carries the coverage.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -15,10 +14,7 @@
 
 #include "common/rng.h"
 #include "common/simd.h"
-#include "forest/forest.h"
-#include "serve/compiled_model.h"
 #include "table/binned.h"
-#include "table/datasets.h"
 #include "tree/hist.h"
 #include "tree/split.h"
 
@@ -141,30 +137,62 @@ DataTable FuzzRegTable(size_t rows, int num_cols, int distinct, uint64_t seed,
   return std::move(t).value();
 }
 
-void ExpectBitExact(const NodeHistogram& a, const NodeHistogram& b,
+/// The reference every kernel must match: one plain pass per column in
+/// row order through the column and target accessors.
+struct RefHist {
+  std::vector<int64_t> cls;
+  std::vector<HistRegBin> reg;
+};
+
+RefHist ReferenceHist(const BinnedColumn& binned, const Column& target,
+                      const SplitContext& ctx, const uint32_t* rows,
+                      size_t n) {
+  RefHist h;
+  const size_t slots = static_cast<size_t>(binned.missing_code()) + 1;
+  const size_t c = static_cast<size_t>(ctx.num_classes);
+  if (ctx.kind == TaskKind::kClassification) {
+    h.cls.assign(slots * c, 0);
+  } else {
+    h.reg.assign(slots, HistRegBin{});
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t row = rows ? rows[i] : static_cast<uint32_t>(i);
+    if (ctx.kind == TaskKind::kClassification) {
+      h.cls[binned.code_at(row) * c + target.category_at(row)]++;
+    } else {
+      HistRegBin& b = h.reg[binned.code_at(row)];
+      const double y = target.numeric_at(row);
+      ++b.n;
+      b.sum += y;
+      b.sum_sq += y * y;
+    }
+  }
+  return h;
+}
+
+void ExpectBitExact(const RefHist& want, const NodeHistogram& got,
                     const char* what) {
-  ASSERT_EQ(a.slots(), b.slots()) << what;
-  ASSERT_EQ(a.cls_size(), b.cls_size()) << what;
-  ASSERT_EQ(a.reg_size(), b.reg_size()) << what;
+  ASSERT_EQ(got.cls_size(), want.cls.size()) << what;
+  ASSERT_EQ(got.reg_size(), want.reg.size()) << what;
   // A histogram holds either class counts or regression bins; the
   // other pool is empty and its data() may be null, which memcmp must
   // not be handed even for a zero length.
-  if (a.cls_size() > 0) {
-    EXPECT_EQ(std::memcmp(a.cls_data(), b.cls_data(),
-                          a.cls_size() * sizeof(int64_t)),
+  if (!want.cls.empty()) {
+    EXPECT_EQ(std::memcmp(want.cls.data(), got.cls_data(),
+                          want.cls.size() * sizeof(int64_t)),
               0)
         << what << ": class counts differ";
   }
-  if (a.reg_size() > 0) {
-    EXPECT_EQ(std::memcmp(a.reg_data(), b.reg_data(),
-                          a.reg_size() * sizeof(HistRegBin)),
+  if (!want.reg.empty()) {
+    EXPECT_EQ(std::memcmp(want.reg.data(), got.reg_data(),
+                          want.reg.size() * sizeof(HistRegBin)),
               0)
         << what << ": regression bins differ";
   }
 }
 
-/// Builds every column's histogram via the fused BuildMany path at
-/// `level` (num_cols spans a full fuse group plus a remainder).
+/// Builds every column's histogram via BuildMany at `level` (num_cols
+/// spans a full fuse group plus a remainder).
 std::vector<NodeHistogram> BuildAt(SimdLevel level, const DataTable& t,
                                    const std::vector<const BinnedColumn*>& cols,
                                    const SplitContext& ctx,
@@ -177,13 +205,16 @@ std::vector<NodeHistogram> BuildAt(SimdLevel level, const DataTable& t,
 }
 
 // -------------------------------------------------------------------
-// Histogram kernels: scalar vs vector, bit for bit.
+// Histogram kernels against the reference loop, bit for bit.
 // -------------------------------------------------------------------
 
 void FuzzHistograms(TaskKind kind) {
   const size_t n = 3000;
   const int num_cols = 5;  // one full fuse-of-4 plus a remainder column
   Rng rng(kind == TaskKind::kClassification ? 101 : 202);
+  const std::vector<SimdLevel> levels =
+      kind == TaskKind::kRegression ? LevelsUnderTest()
+                                    : std::vector<SimdLevel>{ActiveSimdLevel()};
   // distinct = 9 exercises the uint8 code kernels, 700 the uint16
   // fallback; max_bins = 900 > distinct leaves empty bins in between.
   for (int distinct : {9, 700}) {
@@ -213,9 +244,11 @@ void FuzzHistograms(TaskKind kind) {
           rows_ptr = rows.data();
         }
         const size_t take = scattered ? rows.size() : std::min(m, n);
-        std::vector<NodeHistogram> ref =
-            BuildAt(SimdLevel::kScalar, t, cols, ctx, rows_ptr, take);
-        for (SimdLevel level : LevelsUnderTest()) {
+        std::vector<RefHist> ref;
+        for (const BinnedColumn* col : cols) {
+          ref.push_back(ReferenceHist(*col, *t.target(), ctx, rows_ptr, take));
+        }
+        for (SimdLevel level : levels) {
           std::vector<NodeHistogram> got =
               BuildAt(level, t, cols, ctx, rows_ptr, take);
           for (int c = 0; c < num_cols; ++c) {
@@ -238,132 +271,6 @@ TEST(SimdParityTest, ClassificationHistogramsBitExact) {
 
 TEST(SimdParityTest, RegressionHistogramsBitExact) {
   FuzzHistograms(TaskKind::kRegression);
-}
-
-// -------------------------------------------------------------------
-// Serving: byte-identical predictions at every SIMD level and against
-// row-at-a-time ForestModel, over ragged scattered batches and depth
-// cutoffs.
-// -------------------------------------------------------------------
-
-ForestModel TrainFuzzForest(const DataTable& table, int trees,
-                            bool sqrt_columns) {
-  ForestJobSpec spec;
-  spec.num_trees = trees;
-  spec.tree.max_depth = 9;
-  spec.sqrt_columns = sqrt_columns;
-  return TrainForestSerial(table, spec, 2);
-}
-
-void CheckServingParity(const DataTable& table, const ForestModel& forest) {
-  const CompiledForest compiled = CompiledForest::Compile(forest);
-  const size_t n = table.num_rows();
-  Rng rng(31);
-  const bool classification = compiled.is_classification();
-  const size_t k = static_cast<size_t>(compiled.num_classes());
-  for (int max_depth : {-1, 0, 3}) {
-    for (size_t m : {size_t{1}, size_t{7}, size_t{127}, size_t{129}, n}) {
-      const std::vector<uint32_t> rows = RandomRows(n, m, &rng);
-      // Reference: row-at-a-time ForestModel.
-      std::vector<int32_t> ref_labels(rows.size());
-      std::vector<double> ref_values(rows.size());
-      std::vector<float> ref_pmf;
-      for (size_t i = 0; i < rows.size(); ++i) {
-        if (classification) {
-          ref_labels[i] = forest.PredictLabel(table, rows[i], max_depth);
-          const std::vector<float> p =
-              forest.PredictPmf(table, rows[i], max_depth);
-          ASSERT_EQ(p.size(), k);
-          ref_pmf.insert(ref_pmf.end(), p.begin(), p.end());
-        } else {
-          ref_values[i] = forest.PredictValue(table, rows[i], max_depth);
-        }
-      }
-      for (SimdLevel level : LevelsUnderTest()) {
-        ScopedSimdLevel forced(level);
-        const std::string what = std::string(SimdLevelName(level)) +
-                                 " depth=" + std::to_string(max_depth) +
-                                 " m=" + std::to_string(rows.size());
-        if (classification) {
-          std::vector<int32_t> labels(rows.size());
-          compiled.PredictLabel(table, rows.data(), rows.size(), max_depth,
-                                labels.data());
-          EXPECT_EQ(labels, ref_labels) << what;
-          std::vector<float> pmf(rows.size() * k);
-          compiled.PredictPmf(table, rows.data(), rows.size(), max_depth,
-                              pmf.data());
-          EXPECT_EQ(std::memcmp(pmf.data(), ref_pmf.data(),
-                                pmf.size() * sizeof(float)),
-                    0)
-              << what << ": PMFs not byte-identical";
-        } else {
-          std::vector<double> values(rows.size());
-          compiled.PredictValue(table, rows.data(), rows.size(), max_depth,
-                                values.data());
-          EXPECT_EQ(std::memcmp(values.data(), ref_values.data(),
-                                values.size() * sizeof(double)),
-                    0)
-              << what << ": values not byte-identical";
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdParityTest, ClassificationServingByteIdentical) {
-  DatasetProfile profile;
-  profile.name = "simd_fuzz_cls";
-  profile.rows = 2500;
-  profile.num_numeric = 5;
-  profile.num_categorical = 2;
-  profile.num_classes = 4;
-  profile.missing_fraction = 0.08;
-  DataTable table = GenerateTable(profile, 17);
-  CheckServingParity(table, TrainFuzzForest(table, 6, /*sqrt_columns=*/true));
-}
-
-TEST(SimdParityTest, RegressionServingByteIdentical) {
-  DatasetProfile profile;
-  profile.name = "simd_fuzz_reg";
-  profile.rows = 2500;
-  profile.num_numeric = 6;
-  profile.num_categorical = 1;
-  profile.num_classes = 0;  // regression
-  profile.missing_fraction = 0.08;
-  DataTable table = GenerateTable(profile, 19);
-  CheckServingParity(table, TrainFuzzForest(table, 5, /*sqrt_columns=*/true));
-}
-
-TEST(SimdParityTest, WideCategoricalColumnsServingByteIdentical) {
-  // 100 categories force multi-word categorical bitmasks, with
-  // missing categories and (rare) codes the training split never saw.
-  const size_t n = 2000;
-  const int card = 100;
-  Rng rng(59);
-  std::vector<int32_t> cat(n);
-  std::vector<double> num(n);
-  std::vector<int32_t> y(n);
-  for (size_t r = 0; r < n; ++r) {
-    cat[r] = rng.Bernoulli(0.05)
-                 ? kMissingCategory
-                 : static_cast<int32_t>(rng.Uniform(card));
-    num[r] = rng.Bernoulli(0.05) ? MissingNumeric()
-                                 : static_cast<double>(rng.Uniform(37));
-    const int32_t base = cat[r] < 0 ? 0 : (cat[r] / 25) % 3;
-    y[r] = rng.Bernoulli(0.1) ? static_cast<int32_t>(rng.Uniform(3)) : base;
-  }
-  std::vector<ColumnMeta> metas = {{"c", DataType::kCategorical, card},
-                                   {"x", DataType::kNumeric, 0},
-                                   {"y", DataType::kCategorical, 3}};
-  std::vector<ColumnPtr> cols = {Column::Categorical("c", std::move(cat), card),
-                                 Column::Numeric("x", std::move(num)),
-                                 Column::Categorical("y", std::move(y), 3)};
-  auto made = DataTable::Make(Schema(metas, 2, TaskKind::kClassification),
-                              std::move(cols));
-  ASSERT_TRUE(made.ok());
-  DataTable table = std::move(made).value();
-  CheckServingParity(table,
-                     TrainFuzzForest(table, 4, /*sqrt_columns=*/false));
 }
 
 }  // namespace

@@ -76,12 +76,13 @@ echo "== ubsan: configure + build =="
 cmake -B build-ubsan -S . -DTS_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j
 
-echo "== ubsan: split/histogram/simd kernels + trainer + forest =="
-# Simd* adds the fused vector kernels' gather/offset arithmetic on top
-# of the original split/trainer coverage.
+echo "== ubsan: split/histogram kernels + trainer + forest + serving =="
+# Simd* adds the fused regression kernel's offset arithmetic on top of
+# the original split/trainer coverage; CompiledForestParity* the
+# batched serving accumulators' pool indexing.
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   ./build-ubsan/tests/treeserver_tests \
-  --gtest_filter='Split*:Binned*:NodeHistogram*:Hist*:Trainer*:Forest*:Simd*'
+  --gtest_filter='Split*:Binned*:NodeHistogram*:Hist*:Trainer*:Forest*:Simd*:CompiledForestParity*'
 
 echo "== scalar-only: configure + build + ctest (-DTS_SIMD=OFF) =="
 # The parity suites must also pass with every vector translation unit
