@@ -552,7 +552,6 @@ void Master::ProcessNodeCompletion(const EntryPtr& entry) {
       } else if (leaf) {
         action = Action::kLeaf;
         FinalizeLeaf(&ts, node_id, depth, stats);
-        TaskFinished(tree_id);
       } else {
         action = Action::kSplit;
         TreeModel::Node& node = ts.model.mutable_node(node_id);
@@ -593,7 +592,6 @@ void Master::ProcessNodeCompletion(const EntryPtr& entry) {
             InsertPlan(child);
           }
         }
-        TaskFinished(tree_id);
       }
     }
   }
@@ -655,6 +653,16 @@ void Master::ProcessNodeCompletion(const EntryPtr& entry) {
       break;
     }
   }
+
+  // Only now may the tree complete: this task's M_work load and T_task
+  // entry (and a parent entry its last child released) are gone, so
+  // the job TaskFinished may wake sees none of them. Results and crash
+  // handling share the receive thread, so the tree cannot be restarted
+  // in between.
+  if (action == Action::kLeaf || action == Action::kSplit) {
+    std::lock_guard<std::mutex> lock(master_mu_);
+    TaskFinished(tree_id);
+  }
 }
 
 void Master::HandleSubtreeResult(const std::string& payload) {
@@ -681,19 +689,18 @@ void Master::HandleSubtreeResult(const std::string& payload) {
 
   TS_LOG(kDebug) << "master: subtree result task " << resp.task_id;
   ObserveTaskCompletion(entry);
-  {
-    std::lock_guard<std::mutex> lock(master_mu_);
-    auto it = trees_.find(entry->tree_id);
-    if (it != trees_.end()) {
-      TreeState& ts = it->second;
-      ts.model.GraftSubtree(entry->node_id, subtree);
-      TaskFinished(entry->tree_id);
-    }
-  }
-
+  // Release the task's bookkeeping before TaskFinished can complete
+  // the tree (see ProcessNodeCompletion).
   load_.Apply(entry->delta, -1.0);
   ttask_.Erase(resp.task_id);
   NotifyChildDone(parent_task);
+
+  std::lock_guard<std::mutex> lock(master_mu_);
+  auto it = trees_.find(entry->tree_id);
+  if (it != trees_.end()) {
+    it->second.model.GraftSubtree(entry->node_id, subtree);
+    TaskFinished(entry->tree_id);
+  }
 }
 
 void Master::FinalizeLeaf(TreeState* tree, int32_t node_id, int depth,
@@ -779,7 +786,12 @@ void Master::WatchdogLoop() {
     const uint64_t now = NowNanos();
     ttask_.ForEach([&](const uint64_t&, EntryPtr& e) {
       std::lock_guard<std::mutex> lock(e->mu);
-      if (e->completed || e->slow_flagged || e->sched_ns == 0) return;
+      // A task scheduled after `now` was read is younger than any limit
+      // (and its unsigned age would wrap).
+      if (e->completed || e->slow_flagged || e->sched_ns == 0 ||
+          e->sched_ns > now) {
+        return;
+      }
       const uint64_t age_us = (now - e->sched_ns) / 1000;
       const uint64_t limit = e->is_subtree ? subtree_limit : column_limit;
       if (age_us <= limit) return;

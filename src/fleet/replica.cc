@@ -1,6 +1,5 @@
 #include "fleet/replica.h"
 
-#include <algorithm>
 #include <future>
 #include <optional>
 #include <utility>
@@ -10,6 +9,15 @@
 #include "engine/messages.h"
 
 namespace treeserver {
+
+namespace {
+
+/// Threads draining the replica's task mailbox. More than one keeps
+/// health pings responsive while a large predict batch is waiting on
+/// the inference server.
+constexpr int kHandlerThreads = 2;
+
+}  // namespace
 
 FleetReplica::FleetReplica(Transport* transport, FleetReplicaConfig config)
     : transport_(transport),
@@ -31,9 +39,8 @@ void FleetReplica::Start() {
   if (started_ || stopped_) return;
   started_ = true;
   server_->Start();
-  const int handlers = std::max(1, config_.handler_threads);
-  handlers_.reserve(handlers);
-  for (int i = 0; i < handlers; ++i) {
+  handlers_.reserve(kHandlerThreads);
+  for (int i = 0; i < kHandlerThreads; ++i) {
     handlers_.emplace_back(&FleetReplica::HandlerLoop, this);
   }
 }

@@ -20,10 +20,6 @@ struct FleetReplicaConfig {
   /// This replica's rank on the fleet transport (0..N-1; the router is
   /// the master).
   int rank = 0;
-  /// Threads draining this replica's task mailbox. More than one keeps
-  /// health pings responsive while a large predict batch is waiting on
-  /// the inference server.
-  int handler_threads = 2;
   /// Inner micro-batching server (its http_port opens the replica's
   /// own /metrics + /statusz when >= 0).
   InferenceServerConfig serve;

@@ -23,21 +23,16 @@ uint64_t NowNanos() {
           .count());
 }
 
+/// Push/rollback fan-outs give up after this long (partial results
+/// reported per replica).
+constexpr uint64_t kAdminTimeoutNs = 10000ull * 1000000;
+
 uint64_t Mix64(uint64_t x) {
   // splitmix64 finalizer: cheap, well distributed.
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
-}
-
-uint64_t HashString(const std::string& s) {
-  uint64_t h = 1469598103934665603ull;  // FNV-1a 64
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return Mix64(h);
 }
 
 /// Value of `key` in an HTTP query string ("a=b&c=d"), empty if absent.
@@ -78,36 +73,6 @@ Result<std::string> ForestBytesFromFile(const std::string& path) {
 
 }  // namespace
 
-CanaryDecision EvaluateCanaryDecision(const CanaryArmView& canary,
-                                      const CanaryArmView& baseline,
-                                      const CanaryBudgets& budgets) {
-  const auto error_rate = [](const CanaryArmView& v) {
-    return v.count == 0 ? 0.0
-                        : static_cast<double>(v.errors) /
-                              static_cast<double>(v.count);
-  };
-  // An error-budget breach rolls back immediately once the canary has
-  // any meaningful sample: waiting for min_requests would keep burning
-  // traffic on a model that is already visibly failing.
-  if (canary.count >= 10 &&
-      error_rate(canary) > error_rate(baseline) + budgets.max_error_excess) {
-    return CanaryDecision::kRollback;
-  }
-  if (canary.count < budgets.min_requests ||
-      baseline.count < budgets.min_requests) {
-    return CanaryDecision::kKeepRunning;
-  }
-  if (error_rate(canary) > error_rate(baseline) + budgets.max_error_excess) {
-    return CanaryDecision::kRollback;
-  }
-  if (baseline.p99_us > 0 &&
-      static_cast<double>(canary.p99_us) >
-          static_cast<double>(baseline.p99_us) * budgets.max_p99_ratio) {
-    return CanaryDecision::kRollback;
-  }
-  return CanaryDecision::kPromote;
-}
-
 FleetRouter::FleetRouter(Transport* transport, FleetRouterConfig config)
     : transport_(transport),
       config_(config),
@@ -122,17 +87,6 @@ FleetRouter::FleetRouter(Transport* transport, FleetRouterConfig config)
       rollbacks_(metrics_.GetCounter("fleet.canary.rollbacks")),
       latency_us_(metrics_.GetHistogram("fleet.latency_us")) {
   replicas_.resize(transport_->num_workers());
-  // Static hash ring over all replicas; rotation is applied at lookup
-  // time (a returning replica reclaims its ring points, preserving
-  // stickiness across an outage).
-  const int vnodes = std::max(1, config_.vnodes);
-  for (int r = 0; r < transport_->num_workers(); ++r) {
-    for (int v = 0; v < vnodes; ++v) {
-      ring_.emplace_back(
-          Mix64(static_cast<uint64_t>(r) * 1000003ull + v), r);
-    }
-  }
-  std::sort(ring_.begin(), ring_.end());
 }
 
 FleetRouter::~FleetRouter() { Stop(); }
@@ -166,9 +120,8 @@ void FleetRouter::Stop() {
   if (timer_thread_.joinable()) timer_thread_.join();
   if (reply_thread_.joinable()) reply_thread_.join();
 
-  // Fail everything still pending BEFORE joining the canary-op
-  // threads: they may be blocked on an admin future only this drain
-  // can now fulfill (the timer that enforced deadlines is gone).
+  // Fail everything still pending: callers blocked on an admin future
+  // or a predict can no longer be answered (the timer is gone).
   std::vector<Inflight> orphaned;
   std::vector<std::shared_ptr<AdminOp>> admin_orphaned;
   {
@@ -186,11 +139,6 @@ void FleetRouter::Stop() {
   for (auto& op : admin_orphaned) {
     op->promise.set_value(std::move(op->replies));
   }
-
-  for (auto& t : canary_ops_) {
-    if (t.joinable()) t.join();
-  }
-  canary_ops_.clear();
 }
 
 uint16_t FleetRouter::http_port() const {
@@ -246,38 +194,18 @@ int FleetRouter::ChooseReplicaLocked(const std::string& model,
     // new version for this model.
   }
 
-  const int avoid = canary_replica;  // -1 when no canary
-  int least = LeastLoadedLocked(exclude, avoid);
-  if (least == -1) {
-    // Nothing else eligible; a canaried model may still fall back to
-    // its canary replica rather than shed (version skew beats a 429
-    // when the canary is the last replica standing).
-    if (canary_replica != -1 && canary_replica != exclude &&
-        EligibleLocked(canary_replica, -2, -2)) {
-      return canary_replica;
-    }
-    return -1;
+  // Replicas hold the whole forest and keep no per-request state, so
+  // any of them serves any batch equally well.
+  const int least = LeastLoadedLocked(exclude, canary_replica);
+  if (least != -1) return least;
+  // Nothing else eligible; a canaried model may still fall back to its
+  // canary replica rather than shed (version skew beats a 429 when the
+  // canary is the last replica standing).
+  if (canary_replica != -1 && canary_replica != exclude &&
+      EligibleLocked(canary_replica, -2, -2)) {
+    return canary_replica;
   }
-
-  // Consistent-hash stickiness: first ring point >= hash(model) that
-  // is eligible.
-  const uint64_t h = HashString(model);
-  auto ring_it = std::lower_bound(
-      ring_.begin(), ring_.end(), std::make_pair(h, -1),
-      [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (size_t step = 0; step < ring_.size(); ++step) {
-    if (ring_it == ring_.end()) ring_it = ring_.begin();
-    const int sticky = ring_it->second;
-    ++ring_it;
-    if (!EligibleLocked(sticky, exclude, avoid)) continue;
-    if (replicas_[sticky].outstanding <=
-        replicas_[least].outstanding +
-            static_cast<uint64_t>(std::max(0, config_.sticky_slack))) {
-      return sticky;
-    }
-    break;  // sticky is overloaded: fall to least-loaded
-  }
-  return least;
+  return -1;
 }
 
 std::future<Result<FleetBatchResult>> FleetRouter::PredictRows(
@@ -547,7 +475,7 @@ void FleetRouter::HandleTraceReply(const Message& msg) {
 }
 
 // ---------------------------------------------------------------------
-// Timer thread: health, deadlines, retransmits, canary auto-decisions.
+// Timer thread: health, deadlines, retransmits, admin retries.
 // ---------------------------------------------------------------------
 
 void FleetRouter::TimerLoop() {
@@ -579,7 +507,6 @@ void FleetRouter::TimerTick(
   const uint64_t retry_ns =
       static_cast<uint64_t>(std::max(1, config_.retry_period_ms)) * 1000000;
 
-  std::vector<std::pair<std::string, CanaryDecision>> decisions;
   std::vector<std::shared_ptr<AdminOp>> admin_done;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -661,41 +588,9 @@ void FleetRouter::TimerTick(
       }
       ++it;
     }
-
-    // Canary auto-decisions.
-    if (config_.canary_auto) {
-      for (auto& [model, canary] : canaries_) {
-        if (!canary.active || canary.deciding) continue;
-        CanaryBudgets budgets;
-        budgets.min_requests = config_.canary_min_requests;
-        budgets.max_error_excess = config_.canary_max_error_excess;
-        budgets.max_p99_ratio = config_.canary_max_p99_ratio;
-        const CanaryDecision d = EvaluateCanaryDecision(
-            canary.canary.View(), canary.baseline.View(), budgets);
-        if (d != CanaryDecision::kKeepRunning) {
-          canary.deciding = true;
-          decisions.emplace_back(model, d);
-        }
-      }
-    }
   }
 
   for (auto& op : admin_done) op->promise.set_value(std::move(op->replies));
-
-  // Promote/Rollback block on admin fan-outs, so they run on their own
-  // threads (joined at Stop), never on the timer thread.
-  for (auto& [model, decision] : decisions) {
-    std::lock_guard<std::mutex> lock(mu_);
-    canary_ops_.emplace_back([this, model = model, decision] {
-      if (decision == CanaryDecision::kPromote) {
-        TS_LOG(kInfo) << "fleet: auto-promoting canary of " << model;
-        Promote(model);
-      } else {
-        TS_LOG(kWarn) << "fleet: auto-rolling-back canary of " << model;
-        Rollback(model);
-      }
-    });
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -716,9 +611,7 @@ Result<std::map<int, FleetAdminReplyMsg>> FleetRouter::RunAdminOp(
   op->send_type = send_type;
   op->payload = std::move(payload);
   op->remaining = targets;
-  op->deadline_ns =
-      now + static_cast<uint64_t>(std::max(1, config_.admin_timeout_ms)) *
-                1000000;
+  op->deadline_ns = now + kAdminTimeoutNs;
   op->last_send_ns = now;
 
   std::vector<Send> sends;
@@ -814,7 +707,6 @@ Result<int> FleetRouter::PushCanary(const std::string& model,
   CanaryState& canary = canaries_[model];
   canary.canary.Reset();
   canary.baseline.Reset();
-  canary.deciding = false;
   canary.active = true;
   canary.replica = replica;
   canary.version = replies.at(replica).version;
@@ -907,8 +799,6 @@ Status FleetRouter::Rollback(const std::string& model) {
 
 void FleetRouter::MarkReplicaDead(int replica) {
   std::vector<Send> sends;
-  std::vector<std::pair<std::promise<Result<FleetBatchResult>>, Status>>
-      failed;
   std::vector<std::shared_ptr<AdminOp>> admin_done;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -980,7 +870,6 @@ void FleetRouter::MarkReplicaDead(int replica) {
   }
   for (auto& op : admin_done) op->promise.set_value(std::move(op->replies));
   DoSends(std::move(sends));
-  for (auto& [promise, status] : failed) promise.set_value(status);
 }
 
 void FleetRouter::ShutdownReplicas() {

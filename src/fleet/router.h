@@ -38,29 +38,9 @@ struct FleetRouterConfig {
   /// consecutive rounds leaves rotation; any pong puts it back.
   int health_period_ms = 100;
   int health_miss_limit = 5;
-  /// Push/rollback fan-outs give up after this long (partial results
-  /// reported per replica).
-  int admin_timeout_ms = 10000;
-  /// Sticky dispatch tolerance: the consistent-hash pick is used while
-  /// its outstanding count is within `sticky_slack` of the least
-  /// loaded replica's; beyond that, least-loaded wins.
-  int sticky_slack = 8;
-  /// Virtual nodes per replica on the hash ring.
-  int vnodes = 16;
   /// Fraction of a canaried model's traffic routed to the canary
   /// replica (deterministic on request id).
   double canary_fraction = 0.10;
-  /// Auto-decision budgets: roll back when the canary arm's error rate
-  /// exceeds baseline + `canary_max_error_excess`, or its p99 exceeds
-  /// baseline p99 * `canary_max_p99_ratio`; promote once both arms
-  /// have `canary_min_requests` and the budgets hold.
-  double canary_max_p99_ratio = 2.0;
-  double canary_max_error_excess = 0.02;
-  uint64_t canary_min_requests = 50;
-  /// Evaluate canaries from the timer thread and promote/roll back
-  /// automatically. Off by default: tests and the CLI drive decisions
-  /// explicitly.
-  bool canary_auto = false;
   /// Destination for fleet.* metrics; nullptr uses Global().
   MetricsRegistry* metrics = nullptr;
   /// Router introspection HTTP port (-1 disables, 0 ephemeral).
@@ -80,27 +60,13 @@ struct FleetBatchResult {
   std::vector<double> values;   // regression, one per row
 };
 
-enum class CanaryDecision { kKeepRunning, kPromote, kRollback };
-
-/// One canary arm's observed stats, as fed to the decision function.
+/// One canary arm's observed stats (operators compare the arms before
+/// calling Promote or Rollback).
 struct CanaryArmView {
   uint64_t count = 0;
   uint64_t errors = 0;
   uint64_t p99_us = 0;
 };
-
-struct CanaryBudgets {
-  uint64_t min_requests = 50;
-  double max_error_excess = 0.02;
-  double max_p99_ratio = 2.0;
-};
-
-/// Pure canary policy: promote/rollback/keep from the two arms' stats.
-/// Error-budget breaches roll back even before `min_requests`; promote
-/// requires both arms past it with both budgets holding.
-CanaryDecision EvaluateCanaryDecision(const CanaryArmView& canary,
-                                      const CanaryArmView& baseline,
-                                      const CanaryBudgets& budgets);
 
 struct FleetReplicaStatus {
   int rank = 0;
@@ -132,15 +98,15 @@ struct FleetStatus {
   std::vector<FleetCanaryStatus> canaries;
 };
 
-/// The fleet front door: admission control, consistent-hash/least-
-/// loaded dispatch over the Transport's replicas, health-based
-/// rotation, retransmit-based reliability, and canary rollout.
+/// The fleet front door: admission control, least-loaded dispatch over
+/// the Transport's replicas, health-based rotation, retransmit-based
+/// reliability, and operator-driven canary rollout.
 ///
 /// The router is the transport's master rank. Two internal threads
 /// run: a reply thread draining master_queue() and a timer thread
-/// (health pings, deadline shedding, retransmits, admin retries,
-/// optional canary auto-decisions). All Sends happen outside the state
-/// mutex so TCP backpressure can never wedge the state machine.
+/// (health pings, deadline shedding, retransmits, admin retries). All
+/// Sends happen outside the state mutex so TCP backpressure can never
+/// wedge the state machine.
 class FleetRouter {
  public:
   FleetRouter(Transport* transport, FleetRouterConfig config);
@@ -168,7 +134,7 @@ class FleetRouter {
 
   /// Pushes serialized forest bytes as the next version of `model` on
   /// every live replica (idempotent per-replica via op ids; retried
-  /// under chaos until admin_timeout_ms).
+  /// under chaos for up to 10 s).
   Status Push(const std::string& model, const std::string& model_bytes);
   /// Pushes to a single replica (-1 = router's choice) and starts a
   /// canary: `canary_fraction` of the model's traffic routes there,
@@ -260,7 +226,6 @@ class FleetRouter {
     std::string model_bytes;  // promoted to the rest on Promote()
     ArmStats canary;
     ArmStats baseline;
-    bool deciding = false;  // auto decision already launched
   };
 
   struct Send {
@@ -282,9 +247,9 @@ class FleetRouter {
   void HandleTraceReply(const Message& msg);
 
   /// Picks a replica for `model`: canary arm by deterministic hash
-  /// when active, else consistent-hash sticky with least-loaded
-  /// fallback. `exclude` skips a replica (retry rotation); returns -1
-  /// when nothing is in rotation. Caller holds mu_.
+  /// when active, else the least-loaded replica. `exclude` skips a
+  /// replica (retry rotation); returns -1 when nothing is in rotation.
+  /// Caller holds mu_.
   int ChooseReplicaLocked(const std::string& model, uint64_t request_id,
                           int exclude, Arm* arm);
   int LeastLoadedLocked(int exclude_a, int exclude_b) const;
@@ -323,7 +288,6 @@ class FleetRouter {
   std::map<uint64_t, Inflight> inflight_;
   std::map<uint64_t, std::shared_ptr<AdminOp>> admin_;
   std::map<std::string, CanaryState> canaries_;
-  std::vector<std::pair<uint64_t, int>> ring_;  // (hash point, replica)
   uint64_t next_id_ = 1;
   uint64_t last_health_sent_ns_ = 0;
   bool started_ = false;
@@ -338,7 +302,6 @@ class FleetRouter {
   std::condition_variable timer_cv_;
   std::thread reply_thread_;
   std::thread timer_thread_;
-  std::vector<std::thread> canary_ops_;
   std::unique_ptr<HttpServer> http_;
 };
 

@@ -183,47 +183,6 @@ TEST(FleetWire, AdminAndHealthRoundTrip) {
 }
 
 // ---------------------------------------------------------------------
-// Canary policy.
-// ---------------------------------------------------------------------
-
-TEST(FleetCanaryPolicy, KeepsRunningUntilMinRequests) {
-  CanaryBudgets budgets;
-  budgets.min_requests = 50;
-  EXPECT_EQ(EvaluateCanaryDecision({10, 0, 100}, {100, 0, 100}, budgets),
-            CanaryDecision::kKeepRunning);
-  EXPECT_EQ(EvaluateCanaryDecision({100, 0, 100}, {10, 0, 100}, budgets),
-            CanaryDecision::kKeepRunning);
-}
-
-TEST(FleetCanaryPolicy, PromotesWhenHealthy) {
-  CanaryBudgets budgets;
-  budgets.min_requests = 50;
-  budgets.max_p99_ratio = 2.0;
-  EXPECT_EQ(EvaluateCanaryDecision({60, 0, 120}, {600, 1, 100}, budgets),
-            CanaryDecision::kPromote);
-}
-
-TEST(FleetCanaryPolicy, RollsBackOnErrorBudget) {
-  CanaryBudgets budgets;
-  budgets.min_requests = 50;
-  budgets.max_error_excess = 0.02;
-  // 10% canary errors vs 0% baseline: over budget.
-  EXPECT_EQ(EvaluateCanaryDecision({60, 6, 100}, {600, 0, 100}, budgets),
-            CanaryDecision::kRollback);
-  // Early rollback: breach detected well before min_requests.
-  EXPECT_EQ(EvaluateCanaryDecision({12, 6, 100}, {600, 0, 100}, budgets),
-            CanaryDecision::kRollback);
-}
-
-TEST(FleetCanaryPolicy, RollsBackOnLatencyBudget) {
-  CanaryBudgets budgets;
-  budgets.min_requests = 50;
-  budgets.max_p99_ratio = 2.0;
-  EXPECT_EQ(EvaluateCanaryDecision({60, 0, 500}, {600, 0, 100}, budgets),
-            CanaryDecision::kRollback);
-}
-
-// ---------------------------------------------------------------------
 // Router + replicas, in-process.
 // ---------------------------------------------------------------------
 
@@ -247,11 +206,36 @@ TEST(FleetRouterTest, PredictionsMatchSingleProcessReference) {
     EXPECT_EQ(result->labels[0], reference[row]) << "row " << row;
   }
 
-  // Every replica took some of the load (least-loaded + stickiness
-  // still spreads across ranks under concurrency).
   const FleetStatus status = fleet.router->GetStatus();
   EXPECT_EQ(status.shed, 0u);
   EXPECT_GE(status.accepted, table.num_rows());
+}
+
+TEST(FleetRouterTest, DispatchSpreadsOneModelAcrossReplicas) {
+  DataTable table = FleetData(32, 7);
+
+  FleetRouterConfig config;
+  // Nothing answers and nothing is retried or shed during the test, so
+  // the outstanding counts show exactly where each batch went.
+  config.health_miss_limit = 1000000;
+  config.retry_period_ms = 600000;
+  config.default_deadline_ms = 600000;
+  MetricsRegistry metrics;
+  config.metrics = &metrics;
+  FleetHarness fleet(2, config);  // replicas never Start()ed
+  fleet.router->Start();
+
+  std::vector<std::future<Result<FleetBatchResult>>> futures;
+  for (uint32_t row = 0; row < 8; ++row) {
+    futures.push_back(fleet.router->PredictRows("m", table, &row, 1));
+  }
+  // Replicas are stateless, so one model's traffic balances across
+  // them rather than sticking to one.
+  const FleetStatus status = fleet.router->GetStatus();
+  ASSERT_EQ(status.replicas.size(), 2u);
+  EXPECT_EQ(status.replicas[0].outstanding, 4u);
+  EXPECT_EQ(status.replicas[1].outstanding, 4u);
+  EXPECT_EQ(status.accepted, 8u);
 }
 
 TEST(FleetRouterTest, BatchedRowsMatchReference) {

@@ -673,6 +673,27 @@ TEST(WatchdogTest, QuietOnHealthyRunWithDefaults) {
       << "watchdog flagged tasks on an unperturbed in-process run";
 }
 
+TEST(WatchdogTest, QuietOnHealthyRunWithFastScans) {
+  Counter* slow = MetricsRegistry::Global().GetCounter("engine.slow_tasks");
+  const uint64_t before = slow->value();
+
+  // Scanning every millisecond through a job of a few thousand tasks
+  // makes it likely that some task is scheduled between a scan's clock
+  // read and its visit of T_task; such a task must read as young, not
+  // as a wrapped-around huge age.
+  DataTable t = MakeData(12000);
+  EngineConfig cfg = SmallConfig();  // default 2 s floor
+  cfg.watchdog_period_ms = 1;
+  TreeServerCluster cluster(t, cfg);
+  ForestJobSpec spec;
+  spec.num_trees = 4;
+  spec.tree.max_depth = 10;
+  cluster.TrainForest(spec);
+
+  EXPECT_EQ(slow->value() - before, 0u)
+      << "watchdog flagged tasks on an unperturbed in-process run";
+}
+
 TEST(EngineStatsTest, StatsReporterEmitsAtCompletion) {
   DataTable t = MakeData(3000);
   EngineConfig cfg = SmallConfig();

@@ -4,6 +4,11 @@
 #   tools/check.sh          # build + ctest + smoke + TSan + UBSan passes
 #   tools/check.sh --fast   # skip the sanitizer passes
 #
+# After ctest, the engine-stats and watchdog suites run 50 times over:
+# a job that reports completion before the master's bookkeeping, or a
+# watchdog scan that misreads a just-scheduled task, fails only now and
+# then, and repetition is what makes such races show up.
+#
 # The TSan stage rebuilds into build-tsan/ with TS_SANITIZE=thread and
 # runs the concurrent-structure and engine-stress suites, which cover
 # every lock/atomic in the engine hot paths. The UBSan stage rebuilds
@@ -28,6 +33,10 @@ cmake --build build -j
 
 echo "== tier-1: ctest =="
 (cd build && ctest --output-on-failure -j"$(nproc)")
+
+echo "== tier-1: completion-order races (EngineStats*/Watchdog* x50) =="
+./build/tests/treeserver_tests --gtest_filter='EngineStats*:Watchdog*' \
+  --gtest_repeat=50 --gtest_brief=1
 
 echo "== serve smoke: quickstart example + quick serving bench =="
 ./build/examples/serve_quickstart
