@@ -724,14 +724,14 @@ void Worker::ComputeSubtreeTask(const TaskPtr& task) {
   config.split_method = static_cast<SplitMethod>(plan.ctx.split_method);
   config.max_bins = plan.ctx.max_bins;
   std::vector<int> candidates(plan.columns.begin(), plan.columns.end());
-  // Histogram mode: re-code the gathered subset against the global
-  // bin boundaries so the subtree splits on exactly the bins a
-  // full-table view would use.
+  // Histogram mode: row i of D_x is table row (*ix)[i] on every server
+  // (each pulled the same I_x from the same delegate), so the subtree's
+  // bin codes are gathered from this worker's full-table view, not
+  // recomputed from the gathered values.
   std::shared_ptr<const BinnedTable> bound;
   if (config.split_method == SplitMethod::kHistogram &&
       !config.extra_trees) {
-    bound = BinnedTable::BindGathered(*GetBinned(config.max_bins), gathered,
-                                      candidates);
+    bound = GetBinned(config.max_bins)->Gather(*ix, candidates);
   }
   std::vector<uint32_t> rows(ix->size());
   std::iota(rows.begin(), rows.end(), 0u);

@@ -16,6 +16,14 @@ int ClampBins(int max_bins) {
   return std::max(kMinBins, std::min(kMaxBins, max_bins));
 }
 
+template <typename Code>
+std::vector<Code> GatherCodes(const std::vector<Code>& codes,
+                              const std::vector<uint32_t>& rows) {
+  std::vector<Code> out(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) out[i] = codes[rows[i]];
+  return out;
+}
+
 }  // namespace
 
 uint16_t BinnedColumn::CodeOf(double v) const {
@@ -95,24 +103,16 @@ std::unique_ptr<BinnedColumn> BinnedColumn::Build(const Column& column,
   return out;
 }
 
-std::unique_ptr<BinnedColumn> BinnedColumn::BindGathered(
-    const Column& gathered) const {
-  TS_CHECK(gathered.type() == DataType::kNumeric);
+std::unique_ptr<BinnedColumn> BinnedColumn::Gather(
+    const std::vector<uint32_t>& rows) const {
   auto out = std::unique_ptr<BinnedColumn>(new BinnedColumn());
   out->num_bins_ = num_bins_;
   out->upper_ = upper_;  // shared global boundaries
   out->wide_ = wide_;
-  const std::vector<double>& values = gathered.numeric_values();
   if (wide_) {
-    out->codes16_.resize(values.size());
-    for (size_t i = 0; i < values.size(); ++i) {
-      out->codes16_[i] = CodeOf(values[i]);
-    }
+    out->codes16_ = GatherCodes(codes16_, rows);
   } else {
-    out->codes8_.resize(values.size());
-    for (size_t i = 0; i < values.size(); ++i) {
-      out->codes8_[i] = static_cast<uint8_t>(CodeOf(values[i]));
-    }
+    out->codes8_ = GatherCodes(codes8_, rows);
   }
   return out;
 }
@@ -132,18 +132,14 @@ std::shared_ptr<const BinnedTable> BinnedTable::Build(const DataTable& table,
   return out;
 }
 
-std::shared_ptr<const BinnedTable> BinnedTable::BindGathered(
-    const BinnedTable& global, const DataTable& gathered,
-    const std::vector<int>& columns) {
+std::shared_ptr<const BinnedTable> BinnedTable::Gather(
+    const std::vector<uint32_t>& rows, const std::vector<int>& columns) const {
   auto out = std::shared_ptr<BinnedTable>(new BinnedTable());
-  out->max_bins_ = global.max_bins_;
-  out->columns_.resize(gathered.num_columns());
+  out->max_bins_ = max_bins_;
+  out->columns_.resize(columns_.size());
   for (int c : columns) {
-    const BinnedColumn* g = global.column(c);
-    if (g == nullptr) continue;
-    const ColumnPtr& col = gathered.column(c);
-    if (col == nullptr || col->type() != DataType::kNumeric) continue;
-    out->columns_[c] = g->BindGathered(*col);
+    const BinnedColumn* bc = column(c);
+    if (bc != nullptr) out->columns_[c] = bc->Gather(rows);
   }
   return out;
 }

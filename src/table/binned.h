@@ -22,7 +22,7 @@ namespace treeserver {
 ///
 /// Codes are stored as uint8 when num_bins + 1 (the missing bin) fits
 /// in a byte, uint16 otherwise. Boundaries are shared (shared_ptr) so a
-/// rebinned gathered subset reuses the full-table boundaries.
+/// gathered subset reuses the full-table boundaries.
 class BinnedColumn {
  public:
   /// Builds bins + codes from a numeric column. `max_bins` is clamped
@@ -30,10 +30,9 @@ class BinnedColumn {
   static std::unique_ptr<BinnedColumn> Build(const Column& column,
                                              int max_bins);
 
-  /// Re-codes a gathered subset of the same underlying column against
-  /// this column's boundaries: row i of `gathered` receives the same
-  /// code the original row had in the full table.
-  std::unique_ptr<BinnedColumn> BindGathered(const Column& gathered) const;
+  /// The codes of `rows`, in order: row i of the result carries
+  /// code_at(rows[i]). Boundaries are shared, not copied.
+  std::unique_ptr<BinnedColumn> Gather(const std::vector<uint32_t>& rows) const;
 
   /// Value bins (excluding the missing bin).
   int num_bins() const { return num_bins_; }
@@ -60,6 +59,9 @@ class BinnedColumn {
 
   /// Largest column value in bin b — the split threshold "v <= upper".
   double upper(int bin) const { return (*upper_)[bin]; }
+  /// All bin upper bounds; one vector shared by a column and its
+  /// gathered subsets.
+  const std::vector<double>& boundaries() const { return *upper_; }
 
   /// Bin code of a raw value (missing_code() for NaN).
   uint16_t CodeOf(double v) const;
@@ -88,13 +90,12 @@ class BinnedTable {
   static std::shared_ptr<const BinnedTable> Build(const DataTable& table,
                                                   int max_bins);
 
-  /// Binned view of a gathered subset (a subtree-task's D_x): columns
-  /// in `columns` that are numeric re-code their gathered values
-  /// against this table's global boundaries, so a subtree task splits
-  /// on exactly the bins the full-table view would.
-  static std::shared_ptr<const BinnedTable> BindGathered(
-      const BinnedTable& global, const DataTable& gathered,
-      const std::vector<int>& columns);
+  /// Binned view of a gathered subset (a subtree-task's D_x, whose row
+  /// i is table row `rows[i]`): each binned column in `columns` gathers
+  /// its codes, so a subtree task splits on exactly the bins the
+  /// full-table view would. Other columns stay unbinned.
+  std::shared_ptr<const BinnedTable> Gather(
+      const std::vector<uint32_t>& rows, const std::vector<int>& columns) const;
 
   /// The binned view of column `i`, or nullptr when the column is not
   /// binned (categorical, target, or absent from a gathered subset).

@@ -44,8 +44,8 @@ struct TreeConfig {
 /// for extra-trees) give an identical tree.
 ///
 /// In histogram mode `binned` supplies the pre-binned view of the
-/// table's numeric columns (a subtree task passes its gathered subset
-/// re-coded against the global boundaries); when nullptr it is built
+/// table's numeric columns (a subtree task passes the codes of its
+/// gathered rows, cut from the full-table view); when nullptr it is built
 /// internally from `table` with `config.max_bins`.
 TreeModel TrainTree(const DataTable& table, std::vector<uint32_t> rows,
                     const std::vector<int>& candidate_columns,

@@ -11,6 +11,7 @@
 #include "forest/forest.h"
 #include "table/binned.h"
 #include "table/datasets.h"
+#include "tcp_cluster.h"
 #include "tree/hist.h"
 #include "tree/split.h"
 #include "tree/trainer.h"
@@ -177,14 +178,39 @@ TEST(BinnedColumnTest, WideCodesBeyond255Bins) {
   EXPECT_EQ(binned->code_at(999), 999);
 }
 
-TEST(BinnedColumnTest, BindGatheredReusesGlobalBoundaries) {
-  auto col = Column::Numeric("x", {0.0, 1.0, 2.0, 3.0, 4.0, 5.0});
-  auto global = BinnedColumn::Build(*col, 255);
-  auto gathered = Column::Numeric("x", {4.0, 1.0});
-  auto bound = global->BindGathered(*gathered);
-  EXPECT_EQ(bound->num_bins(), global->num_bins());
-  EXPECT_EQ(bound->code_at(0), global->code_at(4));
-  EXPECT_EQ(bound->code_at(1), global->code_at(1));
+TEST(BinnedColumnTest, GatherCopiesCodesAndSharesBoundaries) {
+  // 1000 distinct values and ~10% missing: 32 bins give uint8 codes,
+  // 300 bins give uint16 codes.
+  Rng rng(7);
+  std::vector<double> values(2000);
+  for (double& v : values) {
+    v = rng.Bernoulli(0.1) ? MissingNumeric()
+                           : static_cast<double>(rng.Uniform(1000)) / 4;
+  }
+  auto col = Column::Numeric("x", values);
+  // Unordered, with repeats, like a subtree's I_x after several splits.
+  std::vector<uint32_t> rows(700);
+  for (uint32_t& r : rows) {
+    r = static_cast<uint32_t>(rng.Uniform(values.size()));
+  }
+
+  for (int max_bins : {32, 300}) {
+    SCOPED_TRACE(max_bins);
+    auto global = BinnedColumn::Build(*col, max_bins);
+    ASSERT_EQ(global->wide(), max_bins > 255);
+    auto gathered = global->Gather(rows);
+    ASSERT_EQ(gathered->num_rows(), rows.size());
+    EXPECT_EQ(gathered->wide(), global->wide());
+    EXPECT_EQ(gathered->num_bins(), global->num_bins());
+    EXPECT_EQ(&gathered->boundaries(), &global->boundaries());
+    size_t missing = 0;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const double v = values[rows[i]];
+      EXPECT_EQ(gathered->code_at(i), global->CodeOf(v)) << "row " << i;
+      if (IsMissingNumeric(v)) ++missing;
+    }
+    EXPECT_GT(missing, 0u);
+  }
 }
 
 // -------------------------------------------------------------------
@@ -451,6 +477,62 @@ TEST(HistEngineParityTest, RegressionForestMatchesSerialWithIntegerTargets) {
   ForestModel reference = TrainForestSerial(t, spec, 2);
   ASSERT_EQ(forest.num_trees(), static_cast<size_t>(spec.num_trees));
   EXPECT_EQ(SerializeForestBytes(forest), SerializeForestBytes(reference));
+}
+
+// Trains `spec` on the in-process engine and on a loopback TCP
+// cluster. Both must run subtree tasks (whose bin codes are gathered
+// from the full-table view) and reproduce TrainForestSerial's bytes.
+void ExpectEnginesMatchSerial(const DataTable& t, const ForestJobSpec& spec) {
+  Histogram* subtrees = MetricsRegistry::Global().GetHistogram(
+      "master.subtree_task_latency_us");
+  const std::string reference =
+      SerializeForestBytes(TrainForestSerial(t, spec, 2));
+  {
+    const uint64_t before = subtrees->Count();
+    TreeServerCluster cluster(t, SmallEngine());
+    EXPECT_EQ(SerializeForestBytes(cluster.TrainForest(spec)), reference)
+        << "in-process engine must reproduce serial histogram training";
+    EXPECT_GT(subtrees->Count(), before) << "no subtree task ran in-process";
+  }
+  {
+    const uint64_t before = subtrees->Count();
+    TcpCluster cluster(t, SmallEngine(), /*heartbeat_ms=*/50,
+                       /*miss_limit=*/20);
+    EXPECT_EQ(SerializeForestBytes(cluster.Train(spec)), reference)
+        << "TCP engine must reproduce serial histogram training";
+    EXPECT_GT(subtrees->Count(), before) << "no subtree task ran over TCP";
+  }
+}
+
+TEST(HistEngineParityTest, ClassificationWithMissingValuesAndWideBins) {
+  DatasetProfile p;
+  p.rows = 3000;
+  p.num_numeric = 6;
+  p.num_categorical = 2;
+  p.num_classes = 3;
+  p.noise = 0.08;
+  p.missing_fraction = 0.1;
+  DataTable t = GenerateTable(p, 12);
+
+  ForestJobSpec spec;
+  spec.num_trees = 3;
+  spec.tree.max_depth = 8;
+  spec.tree.split_method = SplitMethod::kHistogram;
+  spec.tree.max_bins = 300;  // > 255: uint16 codes
+  ExpectEnginesMatchSerial(t, spec);
+}
+
+TEST(HistEngineParityTest, RegressionWithMissingValuesAndWideBins) {
+  // Integer targets keep every histogram sum exact; a 400-value grid
+  // under 300 bins gives quantile bins with uint16 codes.
+  DataTable t = GridRegTable(2500, 5, 400, 34, /*missing=*/0.1);
+  ForestJobSpec spec;
+  spec.num_trees = 2;
+  spec.tree.max_depth = 8;
+  spec.tree.impurity = Impurity::kVariance;
+  spec.tree.split_method = SplitMethod::kHistogram;
+  spec.tree.max_bins = 300;
+  ExpectEnginesMatchSerial(t, spec);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -16,9 +17,11 @@
 #include "engine/worker.h"
 #include "forest/forest.h"
 #include "rpc/crc32c.h"
+#include "rpc/crc32c_internal.h"
 #include "rpc/frame.h"
 #include "rpc/tcp_transport.h"
 #include "table/datasets.h"
+#include "tcp_cluster.h"
 
 namespace treeserver {
 namespace {
@@ -31,6 +34,64 @@ TEST(Crc32cTest, KnownAnswer) {
   // The canonical CRC-32C check value (RFC 3720 appendix B.4 vectors).
   EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u);
   EXPECT_EQ(Crc32c("", 0), 0u);
+}
+
+TEST(Crc32cTest, Rfc3720Vectors) {
+  std::vector<uint8_t> data(32, 0x00);
+  EXPECT_EQ(Crc32c(data.data(), data.size()), 0x8A9136AAu);
+  std::fill(data.begin(), data.end(), 0xFF);
+  EXPECT_EQ(Crc32c(data.data(), data.size()), 0x62A8AB43u);
+  for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<uint8_t>(i);
+  EXPECT_EQ(Crc32c(data.data(), data.size()), 0x46DD794Eu);
+  std::reverse(data.begin(), data.end());
+  EXPECT_EQ(Crc32c(data.data(), data.size()), 0x113FDB5Cu);
+}
+
+// The dispatched path (hardware where the CPU has it) and the portable
+// slicing-by-8 path must agree at every length and alignment, so every
+// build tests both no matter which one Crc32c picks.
+TEST(Crc32cTest, HardwareAndPortablePathsAgree) {
+  std::mt19937 gen(20261019);
+  std::vector<uint8_t> buf(300 + 8);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(gen());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
+      const uint8_t* p = buf.data() + offset;
+      const uint32_t portable = crc32c_internal::ExtendPortable(0, p, len);
+      ASSERT_EQ(Crc32c(p, len), portable)
+          << "offset " << offset << " len " << len;
+#if defined(__x86_64__)
+      if (crc32c_internal::HardwareAvailable()) {
+        ASSERT_EQ(crc32c_internal::ExtendHardware(0, p, len), portable)
+            << "offset " << offset << " len " << len;
+      }
+#endif
+    }
+  }
+  // Random split points through the incremental form, from a random
+  // running checksum.
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t len = gen() % 300;
+    const size_t split = gen() % (len + 1);
+    const uint32_t seed = static_cast<uint32_t>(gen());
+    const uint8_t* p = buf.data() + trial % 8;
+    const uint32_t whole = crc32c_internal::ExtendPortable(seed, p, len);
+    EXPECT_EQ(crc32c_internal::ExtendPortable(
+                  crc32c_internal::ExtendPortable(seed, p, split), p + split,
+                  len - split),
+              whole);
+    EXPECT_EQ(Crc32cExtend(Crc32cExtend(seed, p, split), p + split,
+                           len - split),
+              whole);
+#if defined(__x86_64__)
+    if (crc32c_internal::HardwareAvailable()) {
+      EXPECT_EQ(crc32c_internal::ExtendHardware(
+                    crc32c_internal::ExtendHardware(seed, p, split),
+                    p + split, len - split),
+                whole);
+    }
+#endif
+  }
 }
 
 TEST(Crc32cTest, ExtendMatchesOneShot) {
@@ -567,105 +628,6 @@ std::string SerializeForest(const ForestModel& forest) {
   forest.Serialize(&w);
   return w.buffer();
 }
-
-// One rank of the in-one-process TCP cluster.
-struct TcpNode {
-  std::unique_ptr<TcpTransport> transport;
-  PeakGauge task_memory;
-  BusyClock busy;
-  std::unique_ptr<Worker> worker;
-};
-
-struct TcpCluster {
-  std::shared_ptr<const DataTable> table;
-  EngineConfig cfg;
-  std::unique_ptr<TcpTransport> master_tx;
-  std::unique_ptr<Master> master;
-  std::vector<std::unique_ptr<TcpNode>> nodes;
-
-  TcpCluster(DataTable data, const EngineConfig& config, int64_t heartbeat_ms,
-             int miss_limit)
-      : table(std::make_shared<const DataTable>(std::move(data))),
-        cfg(config) {
-    auto make_options = [&](int rank) {
-      TcpTransportOptions o;
-      o.num_workers = cfg.num_workers;
-      o.local_rank = rank;
-      o.heartbeat_period_ms = heartbeat_ms;
-      o.heartbeat_miss_limit = miss_limit;
-      return o;
-    };
-    master_tx = std::make_unique<TcpTransport>(make_options(kMasterRank));
-    for (int w = 0; w < cfg.num_workers; ++w) {
-      auto node = std::make_unique<TcpNode>();
-      node->transport = std::make_unique<TcpTransport>(make_options(w));
-      nodes.push_back(std::move(node));
-    }
-
-    std::vector<std::string> peers;
-    for (int w = 0; w < cfg.num_workers; ++w) {
-      peers.push_back("127.0.0.1:" +
-                      std::to_string(nodes[w]->transport->local_port()));
-    }
-    peers.push_back("127.0.0.1:" + std::to_string(master_tx->local_port()));
-
-    master = std::make_unique<Master>(table, master_tx.get(), cfg);
-    master_tx->SetPeerDeadCallback([this](int rank) {
-      if (rank != kMasterRank) master->OnWorkerCrash(rank);
-    });
-
-    TS_CHECK(master_tx->ConnectPeers(peers).ok());
-    for (auto& node : nodes) {
-      TS_CHECK(node->transport->ConnectPeers(peers).ok());
-    }
-    TS_CHECK(master_tx->WaitForPeers(20000)) << "workers did not connect";
-    for (auto& node : nodes) {
-      TS_CHECK(node->transport->WaitForPeers(20000)) << "peers did not connect";
-    }
-
-    for (int w = 0; w < cfg.num_workers; ++w) {
-      TcpNode& node = *nodes[w];
-      node.worker = std::make_unique<Worker>(
-          w, table, node.transport.get(), cfg.compers_per_worker,
-          &node.task_memory, &node.busy, cfg.compress_transfers);
-    }
-    master->Start();
-    for (auto& node : nodes) node->worker->Start();
-  }
-
-  // Simulates a SIGKILL of worker `w`: its transport goes silent
-  // mid-job with no goodbye; its threads are reaped like an exiting
-  // process.
-  void KillWorker(int w) {
-    nodes[w]->transport->Shutdown();
-    nodes[w]->worker->Join();
-  }
-
-  ForestModel Train(const ForestJobSpec& spec) {
-    uint32_t job = master->Submit(spec);
-    return master->Wait(job);
-  }
-
-  ~TcpCluster() {
-    for (int w = 0; w < cfg.num_workers; ++w) {
-      if (!master_tx->IsCrashed(w)) {
-        master_tx->Send(ChannelKind::kTask,
-                        Message{kMasterRank, w,
-                                static_cast<uint32_t>(MsgType::kShutdown), ""});
-      }
-    }
-    // Workers exit their task loop on kShutdown (closing their local
-    // queues); give the frames time to arrive, then reap everything.
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    for (auto& node : nodes) {
-      node->transport->CloseAll();
-      if (node->worker) node->worker->Join();
-      node->transport->Shutdown();
-    }
-    master->Stop();
-    master_tx->Shutdown();
-  }
-};
 
 ForestJobSpec SmallJob() {
   ForestJobSpec spec;

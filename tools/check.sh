@@ -15,6 +15,10 @@
 # into build-ubsan/ with TS_SANITIZE=undefined and runs the split-kernel
 # and trainer suites, which exercise the index/offset arithmetic of the
 # histogram and exact scratch kernels.
+#
+# The smoke benches run inside build/, so the BENCH_*.json files they
+# write land there and leave the checked-in results alone. Builds use
+# one compile job per CPU.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -29,7 +33,7 @@ done
 
 echo "== tier-1: configure + build =="
 cmake -B build -S . >/dev/null
-cmake --build build -j
+cmake --build build -j"$(nproc)"
 
 echo "== tier-1: ctest =="
 (cd build && ctest --output-on-failure -j"$(nproc)")
@@ -40,13 +44,13 @@ echo "== tier-1: completion-order races (EngineStats*/Watchdog* x50) =="
 
 echo "== serve smoke: quickstart example + quick serving bench =="
 ./build/examples/serve_quickstart
-./build/bench/bench_serve --quick
+(cd build && ./bench/bench_serve --quick)
 
 echo "== rpc smoke: quick transport bench =="
-./build/bench/bench_rpc --quick
+(cd build && ./bench/bench_rpc --quick)
 
 echo "== chaos smoke: injector overhead guard + fixed-seed mixed profile =="
-./build/bench/bench_rpc --chaos-overhead
+(cd build && ./bench/bench_rpc --chaos-overhead)
 TREESERVER_NODE=./build/tools/treeserver_node \
   CHAOS_PROFILES="mixed" CHAOS_SEED=20260808 \
   bash tools/chaos_test.sh
@@ -60,7 +64,7 @@ TREEFLEET=./build/tools/treefleet \
 
 echo "== observability smoke: top self-test + overhead guard =="
 ./build/tools/treeserver_top --self-test
-./build/bench/bench_micro --obs-overhead
+(cd build && ./bench/bench_micro --obs-overhead)
 
 if [[ "$FAST" == "1" ]]; then
   echo "== skipping sanitizer passes (--fast) =="
@@ -69,7 +73,7 @@ fi
 
 echo "== tsan: configure + build =="
 cmake -B build-tsan -S . -DTS_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j
+cmake --build build-tsan -j"$(nproc)"
 
 echo "== tsan: concurrent_test + engine_stress_test + serve + rpc + obs + chaos + fleet =="
 # Chaos*/Reliable*/FaultInject* run the seeded fault injector, the
@@ -83,7 +87,7 @@ TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/treeserver_tests \
 
 echo "== ubsan: configure + build =="
 cmake -B build-ubsan -S . -DTS_SANITIZE=undefined >/dev/null
-cmake --build build-ubsan -j
+cmake --build build-ubsan -j"$(nproc)"
 
 echo "== ubsan: split/histogram kernels + trainer + forest + serving =="
 # Simd* adds the fused regression kernel's offset arithmetic on top of
@@ -97,7 +101,7 @@ echo "== scalar-only: configure + build + ctest (-DTS_SIMD=OFF) =="
 # The parity suites must also pass with every vector translation unit
 # stripped from the build — the scalar twins ARE the reference.
 cmake -B build-scalar -S . -DTS_SIMD=OFF >/dev/null
-cmake --build build-scalar -j
+cmake --build build-scalar -j"$(nproc)"
 (cd build-scalar && ctest --output-on-failure -j"$(nproc)")
 
 echo "== all checks passed =="
