@@ -5,17 +5,20 @@
 //
 // `--obs-overhead` runs the observability cost guard instead: the same
 // training job with the tracer + a scraped /metrics endpoint on vs
-// everything off, min-of-3 each. Writes BENCH_obs.json and exits
-// non-zero when the overhead exceeds 3% — the observability plane must
-// stay effectively free.
+// everything off, in interleaved pairs; the overhead is the median of
+// the pairs' on/off ratios (21 pairs, or 63 when the first 21 read over
+// budget). Writes BENCH_obs.json and exits non-zero when the overhead
+// exceeds 3% — the observability plane must stay effectively free.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/http_server.h"
 #include "common/prometheus.h"
@@ -173,11 +176,13 @@ double ObsGuardRun(const DataTable& table, bool obs) {
 
   EngineConfig cfg;
   cfg.num_workers = 4;
-  cfg.compers_per_worker = 2;
+  // One comper per worker: eight on a 4-vCPU host added scheduling
+  // noise that swamped the tracer's cost.
+  cfg.compers_per_worker = 1;
   cfg.tau_d = 2000;
   cfg.tau_dfs = 8000;
   ForestJobSpec spec;
-  spec.num_trees = 8;
+  spec.num_trees = 4;
   spec.tree.max_depth = 10;
 
   WallTimer timer;
@@ -212,31 +217,60 @@ int RunObsOverheadGuard() {
   DataTable table = GenerateTable(profile, /*seed=*/17);
 
   // One uncounted warmup pair (page cache, allocator, thread pools),
-  // then interleaved off/on runs so machine drift hits both sides.
-  // Min-per-side is the least-perturbed measurement on each: run-to-run
-  // noise on a shared box dwarfs the true tracer cost, and the guard
-  // exists to catch real regressions (per-row tracing, a hot-path
-  // lock), not to resolve fractions of a percent.
+  // then interleaved off/on pairs, alternating which side runs first so
+  // machine drift favours neither. Each pair yields one on/off ratio
+  // and the guard reads their median: one slow run on a shared box
+  // moves one ratio, not the verdict (a min per side moved with every
+  // lucky run and flapped around the budget). Pair ratios still spread
+  // about ±6% on a shared 4-vCPU host, so a median of 21 sits within
+  // about ±1.5% of the true cost; when it reads over budget the guard
+  // doubles down with 42 more pairs and judges the median of all 63. A
+  // real regression (per-row tracing, a hot-path lock) stays over
+  // budget; a noisy first sample does not.
   ObsGuardRun(table, /*obs=*/false);
   ObsGuardRun(table, /*obs=*/true);
-  constexpr int kRuns = 4;
-  double off_ms = 0.0, on_ms = 0.0;
-  for (int i = 0; i < kRuns; ++i) {
-    const double off = ObsGuardRun(table, /*obs=*/false);
-    const double on = ObsGuardRun(table, /*obs=*/true);
-    off_ms = i == 0 ? off : std::min(off_ms, off);
-    on_ms = i == 0 ? on : std::min(on_ms, on);
-    std::printf("obs-overhead run %d/%d: off=%.1fms on=%.1fms\n", i + 1,
-                kRuns, off, on);
-  }
-
-  const double overhead_pct = (on_ms - off_ms) / off_ms * 100.0;
+  std::vector<double> offs, ons, ratios;
+  auto run_pairs = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      const int pair = static_cast<int>(ratios.size());
+      double off, on;
+      if (pair % 2 == 0) {
+        off = ObsGuardRun(table, /*obs=*/false);
+        on = ObsGuardRun(table, /*obs=*/true);
+      } else {
+        on = ObsGuardRun(table, /*obs=*/true);
+        off = ObsGuardRun(table, /*obs=*/false);
+      }
+      offs.push_back(off);
+      ons.push_back(on);
+      ratios.push_back(on / off);
+      std::printf("obs-overhead pair %d: off=%.1fms on=%.1fms (%+.2f%%)\n",
+                  pair + 1, off, on, (on / off - 1.0) * 100.0);
+    }
+  };
+  auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
   constexpr double kBudgetPct = 3.0;
+  constexpr int kPairs = 21;
+  run_pairs(kPairs);
+  double overhead_pct = (median(ratios) - 1.0) * 100.0;
+  if (overhead_pct > kBudgetPct) {
+    std::printf("obs-overhead: %.2f%% over %d pairs exceeds the budget; "
+                "re-measuring with %d more\n",
+                overhead_pct, kPairs, 2 * kPairs);
+    run_pairs(2 * kPairs);
+    overhead_pct = (median(ratios) - 1.0) * 100.0;
+  }
+  const double off_ms = median(offs);
+  const double on_ms = median(ons);
   char json[256];
   std::snprintf(json, sizeof(json),
                 "{\"bench\":\"obs\",\"off_ms\":%.1f,\"on_ms\":%.1f,"
-                "\"overhead_pct\":%.2f,\"budget_pct\":%.1f}\n",
-                off_ms, on_ms, overhead_pct, kBudgetPct);
+                "\"pairs\":%d,\"overhead_pct\":%.2f,\"budget_pct\":%.1f}\n",
+                off_ms, on_ms, static_cast<int>(ratios.size()), overhead_pct,
+                kBudgetPct);
   std::printf("%s", json);
   if (std::FILE* f = std::fopen("BENCH_obs.json", "w")) {
     std::fputs(json, f);

@@ -4,10 +4,11 @@
 //
 // Each case trains one full tree over all-numeric candidate columns
 // and reports the train wall time per method. The histogram timing
-// excludes the one-off BinnedTable build (it happens once at table
-// load and is shared by every tree of the pool) but the build cost is
-// reported alongside so nothing hides. Emits a one-line JSON summary
-// (bench=split) after the table; check in as BENCH_split.json.
+// excludes the one-off BinnedTable build (it happens once per job, or
+// once per held column on an engine worker, and is shared by every
+// tree) but the build cost is reported alongside so nothing hides.
+// Emits a one-line JSON summary (bench=split) after the table; check in
+// as BENCH_split.json.
 //
 // Flags: --quick (smaller sizes), --max-bins=N (default 255).
 

@@ -35,12 +35,18 @@ class BinaryWriter {
 
   template <typename T>
   void WriteVector(const std::vector<T>& v) {
+    WriteArray(v.data(), v.size());
+  }
+
+  /// WriteVector's layout (uint64 count, then the elements) for `n`
+  /// elements at `data`; ReadVector reads it back.
+  template <typename T>
+  void WriteArray(const T* data, size_t n) {
     static_assert(std::is_trivially_copyable_v<T>,
-                  "WriteVector<T> requires a trivially copyable type");
-    Write<uint64_t>(v.size());
-    if (!v.empty()) {
-      buf_.append(reinterpret_cast<const char*>(v.data()),
-                  v.size() * sizeof(T));
+                  "WriteArray<T> requires a trivially copyable type");
+    Write<uint64_t>(n);
+    if (n > 0) {
+      buf_.append(reinterpret_cast<const char*>(data), n * sizeof(T));
     }
   }
 

@@ -225,6 +225,8 @@ std::string ColumnDataRequest::Encode() const {
   w.Write(parent_task);
   w.Write(side);
   w.Write(n_rows);
+  w.Write(split_method);
+  w.Write(max_bins);
   return w.Release();
 }
 
@@ -239,6 +241,8 @@ Status ColumnDataRequest::Decode(const std::string& payload,
   TS_RETURN_IF_ERROR(r.Read(&out->parent_task));
   TS_RETURN_IF_ERROR(r.Read(&out->side));
   TS_RETURN_IF_ERROR(r.Read(&out->n_rows));
+  TS_RETURN_IF_ERROR(r.Read(&out->split_method));
+  TS_RETURN_IF_ERROR(r.Read(&out->max_bins));
   return Status::OK();
 }
 
@@ -248,6 +252,7 @@ namespace {
 constexpr uint8_t kWireNumeric = 0;
 constexpr uint8_t kWireCategoricalRaw = 1;
 constexpr uint8_t kWireCategoricalPacked = 2;
+constexpr uint8_t kWireBinned = 3;
 
 int BitsFor(uint32_t distinct) {
   int bits = 1;
@@ -297,9 +302,10 @@ void SerializeColumn(const Column& column, BinaryWriter* w, bool compress) {
   if (filled > 0) w->Write(static_cast<uint8_t>(buffer & 0xFF));
 }
 
-Status DeserializeColumn(BinaryReader* r, ColumnPtr* out) {
-  uint8_t tag;
-  TS_RETURN_IF_ERROR(r->Read(&tag));
+namespace {
+
+// The body of a value column whose wire tag has been read.
+Status ReadColumnBody(uint8_t tag, BinaryReader* r, ColumnPtr* out) {
   std::string name;
   TS_RETURN_IF_ERROR(r->ReadString(&name));
   if (tag == kWireNumeric) {
@@ -357,12 +363,64 @@ Status DeserializeColumn(BinaryReader* r, ColumnPtr* out) {
   return Status::OK();
 }
 
+template <typename Code>
+Status ReadBinnedCodes(BinaryReader* r, std::vector<double> boundaries,
+                       std::shared_ptr<const BinnedColumn>* out) {
+  std::vector<Code> codes;
+  TS_RETURN_IF_ERROR(r->ReadVector(&codes));
+  auto column =
+      BinnedColumn::FromCodes(std::move(boundaries), std::move(codes));
+  if (!column.ok()) return column.status();
+  *out = std::move(column).value();
+  return Status::OK();
+}
+
+// Either form of a gathered column: values as SerializeColumn writes
+// them, or bin codes under their own tag (boundaries, then uint8 or
+// uint16 codes as the bin count implies).
+void SerializeGathered(const GatheredColumn& column, BinaryWriter* w,
+                       bool compress) {
+  if (column.values != nullptr) {
+    SerializeColumn(*column.values, w, compress);
+    return;
+  }
+  const BinnedColumn& codes = *column.codes;
+  w->Write(kWireBinned);
+  w->WriteVector(codes.boundaries());
+  if (codes.wide()) {
+    w->WriteArray(codes.codes16_data(), codes.num_rows());
+  } else {
+    w->WriteArray(codes.codes8_data(), codes.num_rows());
+  }
+}
+
+Status DeserializeGathered(BinaryReader* r, GatheredColumn* out) {
+  uint8_t tag;
+  TS_RETURN_IF_ERROR(r->Read(&tag));
+  if (tag != kWireBinned) return ReadColumnBody(tag, r, &out->values);
+  std::vector<double> boundaries;
+  TS_RETURN_IF_ERROR(r->ReadVector(&boundaries));
+  // The bin count fixes the code width; FromCodes checks the rest.
+  if (BinnedColumn::WideFor(boundaries.size())) {
+    return ReadBinnedCodes<uint16_t>(r, std::move(boundaries), &out->codes);
+  }
+  return ReadBinnedCodes<uint8_t>(r, std::move(boundaries), &out->codes);
+}
+
+}  // namespace
+
+Status DeserializeColumn(BinaryReader* r, ColumnPtr* out) {
+  uint8_t tag;
+  TS_RETURN_IF_ERROR(r->Read(&tag));
+  return ReadColumnBody(tag, r, out);
+}
+
 std::string ColumnDataResponse::Encode() const {
   BinaryWriter w;
   w.Write(task_id);
   w.WriteVector(columns);
   w.Write(static_cast<uint64_t>(data.size()));
-  for (const ColumnPtr& c : data) SerializeColumn(*c, &w, compress);
+  for (const GatheredColumn& c : data) SerializeGathered(c, &w, compress);
   return w.Release();
 }
 
@@ -378,9 +436,15 @@ Status ColumnDataResponse::Decode(const std::string& payload,
   if (count > r.remaining()) {
     return Status::Corruption("column count exceeds payload");
   }
+  if (count != out->columns.size()) {
+    return Status::Corruption("column ids and payloads disagree");
+  }
   out->data.resize(count);
   for (uint64_t i = 0; i < count; ++i) {
-    TS_RETURN_IF_ERROR(DeserializeColumn(&r, &out->data[i]));
+    TS_RETURN_IF_ERROR(DeserializeGathered(&r, &out->data[i]));
+    if (out->data[i].num_rows() != out->data[0].num_rows()) {
+      return Status::Corruption("column row counts disagree");
+    }
   }
   return Status::OK();
 }

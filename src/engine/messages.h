@@ -8,6 +8,7 @@
 #include "common/serial.h"
 #include "common/status.h"
 #include "common/trace.h"
+#include "table/binned.h"
 #include "table/column.h"
 #include "tree/split.h"
 
@@ -165,7 +166,10 @@ struct IxResponse {
 
 /// Key worker -> serving worker: please send me the D_x values of
 /// these columns. The serving worker fetches I_x itself from the
-/// parent worker (arrow 3 in Fig. 9(a)).
+/// parent worker (arrow 3 in Fig. 9(a)). In histogram mode
+/// (`split_method` kHistogram) numeric columns come back as the
+/// holder's bin codes under `max_bins`; extra-trees subtrees ask for
+/// kExact, since their random splits need the values.
 struct ColumnDataRequest {
   uint64_t task_id = 0;
   uint32_t tree_id = 0;
@@ -175,16 +179,35 @@ struct ColumnDataRequest {
   uint64_t parent_task = 0;
   uint8_t side = 0;
   uint64_t n_rows = 0;  // used when parent_worker == -1 (root)
+  uint8_t split_method = 0;  // SplitMethod enum
+  uint16_t max_bins = 255;
 
   std::string Encode() const;
   static Status Decode(const std::string& payload, ColumnDataRequest* out);
 };
 
-/// Serving worker -> key worker: the gathered column values.
+/// One column of a subtree task's D_x: the gathered values, or (a
+/// numeric column in histogram mode) the holder's bin codes of the same
+/// rows with the column's boundaries. Exactly one member is set.
+struct GatheredColumn {
+  ColumnPtr values;
+  std::shared_ptr<const BinnedColumn> codes;
+
+  size_t num_rows() const {
+    return values != nullptr ? values->size() : codes->num_rows();
+  }
+  /// Payload bytes, for task-memory accounting.
+  size_t ByteSize() const {
+    return values != nullptr ? values->ByteSize() : codes->ByteSize();
+  }
+};
+
+/// Serving worker -> key worker: the gathered columns. Decode rejects
+/// a batch whose columns disagree on the row count.
 struct ColumnDataResponse {
   uint64_t task_id = 0;
   std::vector<int32_t> columns;
-  std::vector<ColumnPtr> data;  // same order as `columns`
+  std::vector<GatheredColumn> data;  // same order as `columns`
   /// Encode-side only: bit-pack categorical payloads.
   bool compress = false;
 
@@ -223,6 +246,7 @@ struct TreeIdOnly {
 void SerializeColumn(const Column& column, BinaryWriter* w,
                      bool compress = false);
 Status DeserializeColumn(BinaryReader* r, ColumnPtr* out);
+
 
 /// Delta+varint encoding of ascending row ids.
 void WriteRowIds(BinaryWriter* w, const std::vector<uint32_t>& rows,

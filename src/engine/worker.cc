@@ -39,7 +39,13 @@ Worker::Worker(int id, std::shared_ptr<const DataTable> table,
       computed_counter_(
           MetricsRegistry::Global().GetCounter("engine.tasks_computed")),
       dup_tasks_(
-          MetricsRegistry::Global().GetCounter("engine.duplicate_tasks")) {}
+          MetricsRegistry::Global().GetCounter("engine.duplicate_tasks")),
+      pulled_numeric_bytes_(MetricsRegistry::Global().GetCounter(
+          "engine.pulled_column_bytes.numeric")),
+      pulled_categorical_bytes_(MetricsRegistry::Global().GetCounter(
+          "engine.pulled_column_bytes.categorical")),
+      pulled_code_bytes_(MetricsRegistry::Global().GetCounter(
+          "engine.pulled_column_bytes.codes")) {}
 
 Worker::~Worker() { Join(); }
 
@@ -74,6 +80,16 @@ WorkerStats Worker::GetStats() const {
   stats.btask_depth = btask_.size();
   stats.tasks_computed = computed_.value();
   if (busy_clock_ != nullptr) stats.busy_seconds = busy_clock_->Seconds();
+  {
+    std::lock_guard<std::mutex> lock(bins_mu_);
+    for (const auto& entry : bins_) {
+      stats.binned_columns.push_back(entry.first.second);
+    }
+  }
+  std::sort(stats.binned_columns.begin(), stats.binned_columns.end());
+  stats.binned_columns.erase(
+      std::unique(stats.binned_columns.begin(), stats.binned_columns.end()),
+      stats.binned_columns.end());
   return stats;
 }
 
@@ -213,6 +229,10 @@ void Worker::HandleSubtreeTaskPlan(const std::string& payload) {
     req.parent_task = plan.parent_task;
     req.side = plan.side;
     req.n_rows = plan.n_rows;
+    req.split_method = plan.ctx.extra_trees != 0
+                           ? static_cast<uint8_t>(SplitMethod::kExact)
+                           : plan.ctx.split_method;
+    req.max_bins = plan.ctx.max_bins;
     link_.Send(ChannelKind::kData,
                Message{id_, server,
                        static_cast<uint32_t>(MsgType::kColumnDataRequest),
@@ -466,8 +486,16 @@ void Worker::ServeColumns(const TaskPtr& task) {
     resp.compress = compress_transfers_;
     resp.columns = req.columns;
     resp.data.reserve(req.columns.size());
+    const bool use_codes =
+        req.split_method == static_cast<uint8_t>(SplitMethod::kHistogram);
     for (int32_t col : req.columns) {
-      resp.data.push_back(table_->column(col)->Gather(*task->ix));
+      GatheredColumn g = GatherLocal(col, *task->ix, use_codes, req.max_bins);
+      Counter* bytes = g.codes != nullptr ? pulled_code_bytes_
+                       : g.values->type() == DataType::kNumeric
+                           ? pulled_numeric_bytes_
+                           : pulled_categorical_bytes_;
+      bytes->Add(g.ByteSize());
+      resp.data.push_back(std::move(g));
     }
     key_worker = req.key_worker;
     task_id = req.task_id;
@@ -502,7 +530,7 @@ void Worker::HandleColumnDataResponse(const std::string& payload) {
   int64_t bytes = 0;
   for (size_t i = 0; i < resp.columns.size(); ++i) {
     task->gathered_cols.push_back(resp.columns[i]);
-    bytes += static_cast<int64_t>(resp.data[i]->ByteSize());
+    bytes += static_cast<int64_t>(resp.data[i].ByteSize());
     task->gathered_data.push_back(std::move(resp.data[i]));
   }
   task->ChargeMemory(bytes);
@@ -513,24 +541,6 @@ void Worker::HandleColumnDataResponse(const std::string& payload) {
 void Worker::CheckSubtreeReady(const TaskPtr& task, uint64_t task_id) {
   // Caller holds task->mu.
   if (task->ix == nullptr || task->sent_to_compute) return;
-
-  // Local columns are gathered once I_x is here (they were not
-  // requested over the network).
-  if (!task->local_gathered) {
-    int64_t bytes = 0;
-    const SubtreeTaskPlan& plan = task->splan;
-    for (size_t i = 0; i < plan.columns.size(); ++i) {
-      if (plan.column_servers[i] == id_) {
-        ColumnPtr g = table_->column(plan.columns[i])->Gather(*task->ix);
-        bytes += static_cast<int64_t>(g->ByteSize());
-        task->gathered_cols.push_back(plan.columns[i]);
-        task->gathered_data.push_back(std::move(g));
-      }
-    }
-    task->ChargeMemory(bytes);
-    task->local_gathered = true;
-  }
-
   if (task->awaiting_remote == 0) {
     task->sent_to_compute = true;
     btask_.Push(ReadyTask{TaskKindTag::kSubtree, task_id});
@@ -576,11 +586,38 @@ void Worker::ComperLoop() {
   }
 }
 
-std::shared_ptr<const BinnedTable> Worker::GetBinned(int max_bins) {
-  std::lock_guard<std::mutex> lock(binned_mu_);
-  std::shared_ptr<const BinnedTable>& slot = binned_[max_bins];
-  if (slot == nullptr) slot = BinnedTable::Build(*table_, max_bins);
-  return slot;
+std::shared_ptr<const BinnedColumn> Worker::BinnedColumnOf(int32_t col,
+                                                           int max_bins) {
+  const ColumnPtr& column = table_->column(col);
+  if (col == table_->schema().target_index() ||
+      column->type() != DataType::kNumeric) {
+    return nullptr;
+  }
+  std::shared_ptr<BinSlot> slot;
+  {
+    std::lock_guard<std::mutex> lock(bins_mu_);
+    std::shared_ptr<BinSlot>& entry = bins_[{max_bins, col}];
+    if (entry == nullptr) entry = std::make_shared<BinSlot>();
+    slot = entry;
+  }
+  std::call_once(slot->once, [&] {
+    slot->column = BinnedColumn::Build(*column, max_bins);
+  });
+  return slot->column;
+}
+
+GatheredColumn Worker::GatherLocal(int32_t col,
+                                   const std::vector<uint32_t>& ix,
+                                   bool use_codes, int max_bins) {
+  GatheredColumn out;
+  std::shared_ptr<const BinnedColumn> bins =
+      use_codes ? BinnedColumnOf(col, max_bins) : nullptr;
+  if (bins != nullptr) {
+    out.codes = bins->Gather(ix);
+  } else {
+    out.values = table_->column(col)->Gather(ix);
+  }
+  return out;
 }
 
 SplitOutcome Worker::HistogramColumnSplit(const TaskPtr& task,
@@ -665,9 +702,9 @@ void Worker::ComputeColumnTask(const TaskPtr& task) {
     }
   } else if (plan.ctx.split_method ==
              static_cast<uint8_t>(SplitMethod::kHistogram)) {
-    std::shared_ptr<const BinnedTable> binned = GetBinned(plan.ctx.max_bins);
     for (int32_t col : plan.columns) {
-      const BinnedColumn* bc = binned->column(col);
+      std::shared_ptr<const BinnedColumn> bc =
+          BinnedColumnOf(col, plan.ctx.max_bins);
       SplitOutcome o =
           bc != nullptr
               ? HistogramColumnSplit(task, plan, col, *bc, ctx, *ix)
@@ -697,7 +734,7 @@ void Worker::ComputeSubtreeTask(const TaskPtr& task) {
   SubtreeTaskPlan plan;
   std::shared_ptr<std::vector<uint32_t>> ix;
   std::vector<int32_t> cols;
-  std::vector<ColumnPtr> data;
+  std::vector<GatheredColumn> data;
   {
     std::lock_guard<std::mutex> lock(task->mu);
     plan = task->splan;
@@ -705,15 +742,6 @@ void Worker::ComputeSubtreeTask(const TaskPtr& task) {
     cols = std::move(task->gathered_cols);
     data = std::move(task->gathered_data);
   }
-
-  const Schema& schema = table_->schema();
-  std::vector<ColumnPtr> slots(schema.num_columns());
-  for (size_t i = 0; i < cols.size(); ++i) slots[cols[i]] = data[i];
-  // Y is replicated on every worker; gather it locally.
-  slots[schema.target_index()] = table_->target()->Gather(*ix);
-
-  DataTable gathered =
-      DataTable::ForGatheredSubset(schema, std::move(slots), ix->size());
 
   TreeConfig config;
   config.max_depth = plan.ctx.max_depth;
@@ -723,16 +751,44 @@ void Worker::ComputeSubtreeTask(const TaskPtr& task) {
   config.base_depth = plan.depth;
   config.split_method = static_cast<SplitMethod>(plan.ctx.split_method);
   config.max_bins = plan.ctx.max_bins;
-  std::vector<int> candidates(plan.columns.begin(), plan.columns.end());
-  // Histogram mode: row i of D_x is table row (*ix)[i] on every server
-  // (each pulled the same I_x from the same delegate), so the subtree's
-  // bin codes are gathered from this worker's full-table view, not
-  // recomputed from the gathered values.
-  std::shared_ptr<const BinnedTable> bound;
-  if (config.split_method == SplitMethod::kHistogram &&
-      !config.extra_trees) {
-    bound = GetBinned(config.max_bins)->Gather(*ix, candidates);
+  // Histogram mode: every numeric column of D_x is bin codes, gathered
+  // by its holder (here for local columns, remotely for the rest); row
+  // i of D_x is table row (*ix)[i] on every server, since each pulled
+  // the same I_x from the same delegate.
+  const bool use_codes = config.split_method == SplitMethod::kHistogram &&
+                         !config.extra_trees;
+
+  int64_t local_bytes = 0;
+  for (size_t i = 0; i < plan.columns.size(); ++i) {
+    if (plan.column_servers[i] != id_) continue;
+    cols.push_back(plan.columns[i]);
+    data.push_back(
+        GatherLocal(plan.columns[i], *ix, use_codes, config.max_bins));
+    local_bytes += static_cast<int64_t>(data.back().ByteSize());
   }
+  {
+    std::lock_guard<std::mutex> lock(task->mu);
+    task->ChargeMemory(local_bytes);
+  }
+
+  const Schema& schema = table_->schema();
+  std::vector<ColumnPtr> slots(schema.num_columns());
+  std::vector<std::shared_ptr<const BinnedColumn>> codes(
+      schema.num_columns());
+  for (size_t i = 0; i < cols.size(); ++i) {
+    slots[cols[i]] = std::move(data[i].values);
+    codes[cols[i]] = std::move(data[i].codes);
+  }
+  // Y is replicated on every worker; gather it locally.
+  slots[schema.target_index()] = table_->target()->Gather(*ix);
+
+  DataTable gathered =
+      DataTable::ForGatheredSubset(schema, std::move(slots), ix->size());
+  std::shared_ptr<const BinnedTable> bound;
+  if (use_codes) {
+    bound = BinnedTable::FromColumns(std::move(codes));
+  }
+  std::vector<int> candidates(plan.columns.begin(), plan.columns.end());
   std::vector<uint32_t> rows(ix->size());
   std::iota(rows.begin(), rows.end(), 0u);
   Rng rng(plan.ctx.rng_seed);

@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -30,6 +31,9 @@ struct WorkerStats {
   uint64_t tasks_computed = 0;
   /// Aggregate comper busy time so far, in seconds.
   double busy_seconds = 0.0;
+  /// Feature columns this worker has binned (under any bin budget),
+  /// ascending. Only a column's holders bin it.
+  std::vector<int32_t> binned_columns;
 };
 
 /// A TreeServer worker machine (Fig. 7 / Fig. 14(b)).
@@ -94,11 +98,11 @@ class Worker {
     std::shared_ptr<std::vector<uint32_t>> ix;
     bool sent_to_compute = false;
 
-    // Subtree gathering state.
+    // Subtree gathering state: the remote columns received so far
+    // (local ones are gathered by the comper).
     std::vector<int32_t> gathered_cols;
-    std::vector<ColumnPtr> gathered_data;
+    std::vector<GatheredColumn> gathered_data;
     size_t awaiting_remote = 0;
-    bool local_gathered = false;
 
     // Delegate duty (column-tasks that won the split).
     bool is_delegate = false;
@@ -159,18 +163,25 @@ class Worker {
 
   void ServeIx(const TaskPtr& task, const IxRequest& req);
   void ServeColumns(const TaskPtr& task);
-  /// Gathers this worker's local columns for a subtree task and moves
-  /// it to B_task when all data is present. Caller holds task->mu.
+  /// Moves a subtree task to B_task once I_x and every remote column
+  /// are here. Caller holds task->mu.
   void CheckSubtreeReady(const TaskPtr& task, uint64_t task_id);
+  /// D_x rows `ix` of local column `col`: its bin codes when
+  /// `use_codes` and the column is binnable, else its values.
+  GatheredColumn GatherLocal(int32_t col, const std::vector<uint32_t>& ix,
+                             bool use_codes, int max_bins);
 
   TaskPtr Find(uint64_t task_id);
   std::shared_ptr<std::vector<uint32_t>> IotaRows(uint64_t n) const;
   void RequestIx(uint64_t parent_task, int parent_worker, uint8_t side,
                  uint64_t requester_task);
 
-  /// Lazily-built binned view of the full table, shared by every
-  /// histogram-mode task with the same bin budget.
-  std::shared_ptr<const BinnedTable> GetBinned(int max_bins);
+  /// Bin index of feature column `col` under `max_bins`, built on
+  /// first use and shared by every later task; nullptr for categorical
+  /// columns and the target. Only column tasks and gathers of local
+  /// columns ask, so a worker bins exactly the columns it holds.
+  std::shared_ptr<const BinnedColumn> BinnedColumnOf(int32_t col,
+                                                     int max_bins);
   /// Histogram split of one column for a column task: derives the
   /// histogram from the parent delegate's cache when possible
   /// (classification), else builds it, then registers it for siblings
@@ -200,8 +211,21 @@ class Worker {
   Counter* const computed_counter_;  // "engine.tasks_computed"
   Counter* const dup_tasks_;        // "engine.duplicate_tasks"
 
-  std::mutex binned_mu_;
-  std::map<int, std::shared_ptr<const BinnedTable>> binned_;  // by max_bins
+  // Pulled D_x column payload bytes served, by wire form:
+  // "engine.pulled_column_bytes.{numeric,categorical,codes}".
+  Counter* const pulled_numeric_bytes_;
+  Counter* const pulled_categorical_bytes_;
+  Counter* const pulled_code_bytes_;
+
+  // Per-column bin indexes, keyed by (max_bins, column). The map lock
+  // only finds the slot; the build runs under the slot's once_flag, so
+  // compers binning different columns do not wait for each other.
+  struct BinSlot {
+    std::once_flag once;
+    std::shared_ptr<const BinnedColumn> column;
+  };
+  mutable std::mutex bins_mu_;
+  std::map<std::pair<int, int32_t>, std::shared_ptr<BinSlot>> bins_;
 
   std::thread task_thread_;
   std::thread data_thread_;

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/status.h"
 #include "table/data_table.h"
 
 namespace treeserver {
@@ -22,13 +23,36 @@ namespace treeserver {
 ///
 /// Codes are stored as uint8 when num_bins + 1 (the missing bin) fits
 /// in a byte, uint16 otherwise. Boundaries are shared (shared_ptr) so a
-/// gathered subset reuses the full-table boundaries.
+/// gathered subset reuses the full-column boundaries.
 class BinnedColumn {
  public:
-  /// Builds bins + codes from a numeric column. `max_bins` is clamped
-  /// to [2, 65535].
+  /// Largest bin budget; a column never has more bins than this.
+  static constexpr int kMaxBins = 65535;
+
+  /// Builds bins + codes from a numeric column in linear time: an LSD
+  /// radix sort of order-preserving integer keys of the non-missing
+  /// values, then a branchless search of each value over the
+  /// boundaries. Boundaries and codes are those of a comparison sort
+  /// plus one lower_bound per value, with one refinement: −0.0 and
+  /// +0.0 are the same key, so a zero boundary is always +0.0 (a
+  /// comparison sort leaves the two in unspecified order). Codes do not
+  /// depend on the sign, because −0.0 <= +0.0 and +0.0 <= −0.0.
+  /// `max_bins` is clamped to [2, kMaxBins].
   static std::unique_ptr<BinnedColumn> Build(const Column& column,
                                              int max_bins);
+
+  /// Reassembles a gathered column from its boundaries and codes, as
+  /// received from the column's holder. Returns Corruption unless the
+  /// boundaries are at most kMaxBins strictly ascending non-NaN values,
+  /// every code is at most num_bins (the missing code) and `Code` is
+  /// the width WideFor(num_bins) implies. Defined for uint8_t and
+  /// uint16_t.
+  template <typename Code>
+  static Result<std::unique_ptr<BinnedColumn>> FromCodes(
+      std::vector<double> boundaries, std::vector<Code> codes);
+
+  /// Whether a column of `num_bins` value bins stores uint16 codes.
+  static bool WideFor(size_t num_bins) { return num_bins + 1 > 256; }
 
   /// The codes of `rows`, in order: row i of the result carries
   /// code_at(rows[i]). Boundaries are shared, not copied.
@@ -48,8 +72,8 @@ class BinnedColumn {
     return wide_ ? codes16_[row] : codes8_[row];
   }
 
-  /// Raw code arrays for the SIMD kernels and the quantized serving
-  /// layout: exactly one is non-null, matching wide().
+  /// Raw code arrays for the SIMD kernels and the wire: exactly one is
+  /// non-null, matching wide().
   const uint8_t* codes8_data() const {
     return wide_ ? nullptr : codes8_.data();
   }
@@ -63,7 +87,9 @@ class BinnedColumn {
   /// gathered subsets.
   const std::vector<double>& boundaries() const { return *upper_; }
 
-  /// Bin code of a raw value (missing_code() for NaN).
+  /// Bin code of a raw value (missing_code() for NaN). For a split
+  /// threshold t = upper(b), `v <= t` holds exactly when
+  /// CodeOf(v) <= CodeOf(t) = b, so rows partition by code.
   uint16_t CodeOf(double v) const;
 
   /// Payload bytes (codes + boundaries), for memory accounting.
@@ -79,23 +105,23 @@ class BinnedColumn {
   std::vector<uint16_t> codes16_;
 };
 
-/// Per-table bin index: one BinnedColumn per numeric feature column,
-/// built once at table load and shared read-only across every tree and
-/// task in the pool. Categorical columns and the target are not binned
+/// Per-table bin index: one BinnedColumn per numeric feature column.
+/// The serial trainer builds one per job and shares it read-only across
+/// the job's trees; an engine worker instead bins each column it holds
+/// on first use and assembles a subtree task's view from gathered codes
+/// (FromColumns). Categorical columns and the target are not binned
 /// (categorical split finding is already a per-category histogram).
 class BinnedTable {
  public:
-  /// Bins every numeric feature column of `table`. O(n log n) per
-  /// column, once per table.
+  /// Bins every numeric feature column of `table` (each in linear time,
+  /// see BinnedColumn::Build).
   static std::shared_ptr<const BinnedTable> Build(const DataTable& table,
                                                   int max_bins);
 
-  /// Binned view of a gathered subset (a subtree-task's D_x, whose row
-  /// i is table row `rows[i]`): each binned column in `columns` gathers
-  /// its codes, so a subtree task splits on exactly the bins the
-  /// full-table view would. Other columns stay unbinned.
-  std::shared_ptr<const BinnedTable> Gather(
-      const std::vector<uint32_t>& rows, const std::vector<int>& columns) const;
+  /// A view over already-binned columns: `columns[i]` is column i's
+  /// index, nullptr when column i is not binned.
+  static std::shared_ptr<const BinnedTable> FromColumns(
+      std::vector<std::shared_ptr<const BinnedColumn>> columns);
 
   /// The binned view of column `i`, or nullptr when the column is not
   /// binned (categorical, target, or absent from a gathered subset).
@@ -105,14 +131,10 @@ class BinnedTable {
                : nullptr;
   }
 
-  int max_bins() const { return max_bins_; }
-  size_t ByteSize() const;
-
  private:
   BinnedTable() = default;
 
-  int max_bins_ = 0;
-  std::vector<std::unique_ptr<BinnedColumn>> columns_;
+  std::vector<std::shared_ptr<const BinnedColumn>> columns_;
 };
 
 }  // namespace treeserver

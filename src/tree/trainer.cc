@@ -60,6 +60,26 @@ std::shared_ptr<NodeHists> BuildNodeHists(const BinnedTable& binned,
   return hists;
 }
 
+// Moves the rows of [begin, end) that `routes_left` accepts to the
+// front, both halves in their original order; returns the split point.
+template <typename RoutesLeft>
+size_t StablePartition(std::vector<uint32_t>* rows, size_t begin, size_t end,
+                       std::vector<uint32_t>* scratch, RoutesLeft routes_left) {
+  std::vector<uint32_t>& r = *rows;
+  scratch->clear();
+  scratch->reserve(end - begin);
+  size_t write = begin;
+  for (size_t i = begin; i < end; ++i) {
+    if (routes_left(r[i])) {
+      r[write++] = r[i];
+    } else {
+      scratch->push_back(r[i]);
+    }
+  }
+  std::copy(scratch->begin(), scratch->end(), r.begin() + write);
+  return write;
+}
+
 SplitOutcome FindNodeSplit(const DataTable& table, const uint32_t* rows,
                            size_t n, const std::vector<int>& candidates,
                            const SplitContext& ctx, const TreeConfig& config,
@@ -180,31 +200,50 @@ TreeModel TrainTree(const DataTable& table, std::vector<uint32_t> rows,
         // Stable partition of rows[f.begin, f.end) by the condition,
         // preserving relative order so the distributed engine (which
         // splits I_x the same way at the delegate worker) produces an
-        // identical tree.
+        // identical tree. A binned numeric column partitions by code:
+        // the histogram threshold is a bin's upper bound, so
+        // `v <= threshold` is `code <= CodeOf(threshold)`, and D_x
+        // never needs the column's values.
         const SplitCondition& cond = best.condition;
-        const ColumnPtr& col = table.column(cond.column);
-        scratch.clear();
-        scratch.reserve(n);
-        size_t write = f.begin;
-        if (cond.type == DataType::kNumeric) {
-          for (size_t i = f.begin; i < f.end; ++i) {
-            if (cond.TrainRoutesLeftNumeric(col->numeric_at(rows[i]))) {
-              rows[write++] = rows[i];
-            } else {
-              scratch.push_back(rows[i]);
-            }
-          }
+        const BinnedColumn* split_bins =
+            binned != nullptr ? binned->column(cond.column) : nullptr;
+        size_t mid;
+        if (cond.type != DataType::kNumeric) {
+          const Column& col = *table.column(cond.column);
+          mid = StablePartition(&rows, f.begin, f.end, &scratch,
+                                [&](uint32_t r) {
+                                  return cond.TrainRoutesLeftCategory(
+                                      col.category_at(r));
+                                });
+        } else if (split_bins == nullptr) {
+          const Column& col = *table.column(cond.column);
+          mid = StablePartition(&rows, f.begin, f.end, &scratch,
+                                [&](uint32_t r) {
+                                  return cond.TrainRoutesLeftNumeric(
+                                      col.numeric_at(r));
+                                });
         } else {
-          for (size_t i = f.begin; i < f.end; ++i) {
-            if (cond.TrainRoutesLeftCategory(col->category_at(rows[i]))) {
-              rows[write++] = rows[i];
-            } else {
-              scratch.push_back(rows[i]);
-            }
+          const uint16_t cut = split_bins->CodeOf(cond.threshold);
+          TS_DCHECK(split_bins->upper(cut) == cond.threshold)
+              << "histogram threshold is not a bin boundary";
+          const uint16_t missing =
+              static_cast<uint16_t>(split_bins->missing_code());
+          const bool missing_left = cond.missing_to_left;
+          auto routes_left = [&](uint16_t code) {
+            return code == missing ? missing_left : code <= cut;
+          };
+          if (split_bins->wide()) {
+            const uint16_t* codes = split_bins->codes16_data();
+            mid = StablePartition(
+                &rows, f.begin, f.end, &scratch,
+                [&](uint32_t r) { return routes_left(codes[r]); });
+          } else {
+            const uint8_t* codes = split_bins->codes8_data();
+            mid = StablePartition(
+                &rows, f.begin, f.end, &scratch,
+                [&](uint32_t r) { return routes_left(codes[r]); });
           }
         }
-        const size_t mid = write;
-        std::copy(scratch.begin(), scratch.end(), rows.begin() + mid);
         TS_DCHECK(mid > f.begin && mid < f.end)
             << "split produced an empty child";
 

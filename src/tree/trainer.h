@@ -44,9 +44,11 @@ struct TreeConfig {
 /// for extra-trees) give an identical tree.
 ///
 /// In histogram mode `binned` supplies the pre-binned view of the
-/// table's numeric columns (a subtree task passes the codes of its
-/// gathered rows, cut from the full-table view); when nullptr it is built
-/// internally from `table` with `config.max_bins`.
+/// table's numeric columns; when nullptr it is built internally from
+/// `table` with `config.max_bins`. Histogram mode reads a binned column
+/// only through its codes: splits come from histograms and rows
+/// partition by code. A subtree task therefore passes the codes of its
+/// gathered rows and leaves those columns null in `table`.
 TreeModel TrainTree(const DataTable& table, std::vector<uint32_t> rows,
                     const std::vector<int>& candidate_columns,
                     const TreeConfig& config, Rng* rng = nullptr,

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <set>
 
+#include "common/serial.h"
 #include "forest/forest.h"
+#include "rpc/crc32c.h"
 #include "table/datasets.h"
 
 namespace treeserver {
@@ -17,6 +22,85 @@ DataTable MakeData(int classes, size_t rows = 2000, uint64_t seed = 5) {
   p.noise = 0.05;
   p.concept_depth = 6;
   return GenerateTable(p, seed);
+}
+
+// -------------------------------------------------------------------
+// Serial forests on the benchmark tables, pinned to recorded bytes.
+// -------------------------------------------------------------------
+
+// The training table of one perfbench workload (perfbench/src/
+// workloads.cc, MakeTable): half of a fixed 2x population, drawn by
+// `seed`, with the regression target optionally rounded to integers.
+DataTable BenchTable(DatasetProfile profile, bool round_target,
+                     uint64_t seed) {
+  DatasetProfile population = profile;
+  population.rows *= 2;
+  std::vector<uint32_t> rows(population.rows);
+  std::iota(rows.begin(), rows.end(), 0u);
+  Rng rng(seed);
+  rng.Shuffle(&rows);
+  rows.resize(profile.rows);
+  std::sort(rows.begin(), rows.end());
+  DataTable table = GenerateTable(population, 20220516).GatherRows(rows);
+  if (!round_target) return table;
+  std::vector<double> y = table.target()->numeric_values();
+  for (double& v : y) v = std::round(v);
+  std::vector<ColumnPtr> columns;
+  for (int c = 0; c < table.num_columns(); ++c) {
+    columns.push_back(c == table.schema().target_index()
+                          ? Column::Numeric(table.column(c)->name(), y)
+                          : table.column(c));
+  }
+  return DataTable(table.schema(), std::move(columns));
+}
+
+std::pair<size_t, uint32_t> SerialForestDigest(const DataTable& table,
+                                               const ForestJobSpec& spec) {
+  BinaryWriter w;
+  TrainForestSerial(table, spec, 1).Serialize(&w);
+  return {w.size(), Crc32c(w.buffer().data(), w.size())};
+}
+
+// Size and CRC-32C of the serial forests of both benchmark workloads at
+// seed 7, recorded before the bin index moved to a radix-sort build and
+// histogram-mode rows began to partition by bin code. Both changes
+// must leave every forest byte as it was.
+TEST(SerialForestGoldenTest, BenchmarkTablesKeepTheirForestBytes) {
+  DatasetProfile cls;
+  cls.name = "covtype_like";
+  cls.rows = 100000;
+  cls.num_numeric = 54;
+  cls.num_categorical = 0;
+  cls.num_classes = 7;
+  cls.concept_depth = 8;
+  ForestJobSpec cls_spec;
+  cls_spec.num_trees = 4;
+  cls_spec.tree.max_depth = 10;
+  cls_spec.tree.min_leaf = 2;
+  cls_spec.tree.impurity = Impurity::kGini;
+  cls_spec.sqrt_columns = true;
+  cls_spec.seed = 7;
+  EXPECT_EQ(SerialForestDigest(BenchTable(cls, false, 7), cls_spec),
+            std::make_pair(size_t{726065}, uint32_t{0x7bcc6814}));
+
+  DatasetProfile reg;
+  reg.name = "allstate_like";
+  reg.rows = 150000;
+  reg.num_numeric = 13;
+  reg.num_categorical = 14;
+  reg.num_classes = 0;
+  reg.missing_fraction = 0.05;
+  reg.concept_depth = 8;
+  ForestJobSpec reg_spec;
+  reg_spec.num_trees = 12;
+  reg_spec.tree.max_depth = 10;
+  reg_spec.tree.min_leaf = 2;
+  reg_spec.tree.impurity = Impurity::kVariance;
+  reg_spec.tree.split_method = SplitMethod::kHistogram;
+  reg_spec.column_ratio = 0.5;
+  reg_spec.seed = 7;
+  EXPECT_EQ(SerialForestDigest(BenchTable(reg, true, 7), reg_spec),
+            std::make_pair(size_t{1905701}, uint32_t{0x86920a6e}));
 }
 
 TEST(ForestJobSpecTest, ColumnsPerTree) {
