@@ -45,7 +45,8 @@ Worker::Worker(int id, std::shared_ptr<const DataTable> table,
       pulled_categorical_bytes_(MetricsRegistry::Global().GetCounter(
           "engine.pulled_column_bytes.categorical")),
       pulled_code_bytes_(MetricsRegistry::Global().GetCounter(
-          "engine.pulled_column_bytes.codes")) {}
+          "engine.pulled_column_bytes.codes")),
+      ranks_(*table_) {}
 
 Worker::~Worker() { Join(); }
 
@@ -90,6 +91,7 @@ WorkerStats Worker::GetStats() const {
   stats.binned_columns.erase(
       std::unique(stats.binned_columns.begin(), stats.binned_columns.end()),
       stats.binned_columns.end());
+  stats.ranked_columns = ranks_.ranked_columns();
   return stats;
 }
 
@@ -714,8 +716,13 @@ void Worker::ComputeColumnTask(const TaskPtr& task) {
     }
   } else {
     for (int32_t col : plan.columns) {
-      SplitOutcome o = FindBestSplit(*table_->column(col), col, *target, ctx,
-                                     ix->data(), ix->size());
+      const RankedColumn* ranks = ranks_.column(col);
+      SplitOutcome o =
+          ranks != nullptr
+              ? FindBestNumericSplit(*table_->column(col), *ranks, col,
+                                     *target, ctx, ix->data(), ix->size())
+              : FindBestSplit(*table_->column(col), col, *target, ctx,
+                              ix->data(), ix->size());
       if (SplitBeats(o, resp.outcome)) resp.outcome = std::move(o);
     }
   }

@@ -34,6 +34,9 @@ struct WorkerStats {
   /// Feature columns this worker has binned (under any bin budget),
   /// ascending. Only a column's holders bin it.
   std::vector<int32_t> binned_columns;
+  /// Feature columns this worker has ranked for exact column tasks,
+  /// ascending. Only a column's holders rank it.
+  std::vector<int32_t> ranked_columns;
 };
 
 /// A TreeServer worker machine (Fig. 7 / Fig. 14(b)).
@@ -226,6 +229,9 @@ class Worker {
   };
   mutable std::mutex bins_mu_;
   std::map<std::pair<int, int32_t>, std::shared_ptr<BinSlot>> bins_;
+  /// Per-column rank indexes for exact column tasks, each built by the
+  /// first comper that needs it (same lifecycle as the bins above).
+  RankedTable ranks_;
 
   std::thread task_thread_;
   std::thread data_thread_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <thread>
 
 #include "common/logging.h"
@@ -178,17 +179,23 @@ ForestModel TrainForestSerial(const DataTable& table,
   std::vector<TreeModel> trees(spec.num_trees);
 
   // Histogram mode: bin the table once, shared read-only by all trees.
+  // Exact mode: rank each column on the first tree that samples it,
+  // shared the same way (the first-use build is thread-safe).
   std::shared_ptr<const BinnedTable> binned;
-  if (spec.tree.split_method == SplitMethod::kHistogram &&
-      !spec.tree.extra_trees) {
-    binned = BinnedTable::Build(table, spec.tree.max_bins);
+  std::optional<RankedTable> ranked;
+  if (!spec.tree.extra_trees) {
+    if (spec.tree.split_method == SplitMethod::kHistogram) {
+      binned = BinnedTable::Build(table, spec.tree.max_bins);
+    } else {
+      ranked.emplace(table);
+    }
   }
 
   auto train_one = [&](int t) {
     std::vector<int> candidates = spec.SampleColumns(schema, t);
     Rng rng = spec.TreeRng(t);
     trees[t] = TrainTreeOnTable(table, candidates, spec.tree, &rng,
-                                binned.get());
+                                binned.get(), ranked ? &*ranked : nullptr);
   };
 
   if (num_threads <= 1 || spec.num_trees <= 1) {

@@ -1,12 +1,11 @@
 #include "table/binned.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <cstring>
 #include <type_traits>
 
 #include "common/logging.h"
+#include "table/radix_sort.h"
 
 namespace treeserver {
 
@@ -16,59 +15,6 @@ constexpr int kMinBins = 2;
 
 int ClampBins(int max_bins) {
   return std::max(kMinBins, std::min(BinnedColumn::kMaxBins, max_bins));
-}
-
-constexpr uint64_t kSignBit = uint64_t{1} << 63;
-
-// Order-preserving map of a non-NaN double to an unsigned key: a < b
-// exactly when OrderedKey(a) < OrderedKey(b). Positive values get the
-// sign bit set; negative values are bit-inverted, so larger magnitudes
-// sort lower. −0.0 is folded into +0.0 first.
-uint64_t OrderedKey(double v) {
-  if (v == 0.0) v = 0.0;
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  return (bits & kSignBit) != 0 ? ~bits : bits | kSignBit;
-}
-
-double FromOrderedKey(uint64_t key) {
-  const uint64_t bits = (key & kSignBit) != 0 ? key & ~kSignBit : ~key;
-  double v;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
-}
-
-// LSD radix sort of `keys`, one byte per pass. One read pass counts all
-// eight digits; a pass whose digit is the same for every key moves
-// nothing and is skipped (the sign and exponent bytes of a column's
-// values rarely vary much). `scratch` is the other ping-pong buffer.
-void RadixSort(std::vector<uint64_t>* keys, std::vector<uint64_t>* scratch) {
-  const size_t n = keys->size();
-  if (n < 2) return;
-  scratch->resize(n);
-  std::array<std::array<size_t, 256>, 8> counts{};
-  for (uint64_t k : *keys) {
-    for (int p = 0; p < 8; ++p) ++counts[p][(k >> (8 * p)) & 0xFF];
-  }
-  uint64_t* src = keys->data();
-  uint64_t* dst = scratch->data();
-  for (int p = 0; p < 8; ++p) {
-    std::array<size_t, 256>& offset = counts[p];
-    const int shift = 8 * p;
-    if (offset[(src[0] >> shift) & 0xFF] == n) continue;
-    size_t sum = 0;
-    for (size_t& c : offset) {
-      const size_t count = c;
-      c = sum;
-      sum += count;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      const uint64_t k = src[i];
-      dst[offset[(k >> shift) & 0xFF]++] = k;
-    }
-    std::swap(src, dst);
-  }
-  if (src != keys->data()) keys->swap(*scratch);
 }
 
 // std::lower_bound over upper[0, nb) without a data-dependent branch
@@ -103,6 +49,31 @@ void AssignCodes(const std::vector<double>& values,
     const double v = values[i];
     const Code b = static_cast<Code>(SearchBins(u, nb, v));
     out[i] = IsMissingNumeric(v) ? missing : b;
+  }
+}
+
+// Runs of equal high key halves up to this long are ordered with
+// std::sort; longer ones with a radix sort, whose counting tables cost
+// about as much to clear as sorting a run this long.
+constexpr size_t kSmallRun = 1024;
+
+// Sort items of the rank build: a 32-bit key half above a row id.
+uint32_t RowOf(uint64_t item) { return static_cast<uint32_t>(item); }
+uint32_t HalfOf(uint64_t item) { return static_cast<uint32_t>(item >> 32); }
+struct Identity {
+  uint64_t operator()(uint64_t item) const { return item; }
+};
+
+// Writes rank_of[i] at the row of sorted item i; rows absent from
+// `sorted` (missing values) keep `missing`.
+template <typename Rank>
+void ScatterRanks(const uint64_t* sorted, const uint32_t* rank_of, size_t k,
+                  size_t num_rows, uint32_t missing,
+                  std::vector<Rank>* ranks) {
+  ranks->assign(num_rows, static_cast<Rank>(missing));
+  Rank* out = ranks->data();
+  for (size_t i = 0; i < k; ++i) {
+    out[RowOf(sorted[i])] = static_cast<Rank>(rank_of[i]);
   }
 }
 
@@ -166,8 +137,11 @@ std::unique_ptr<BinnedColumn> BinnedColumn::Build(const Column& column,
     if (!IsMissingNumeric(v)) sorted.push_back(OrderedKey(v));
   }
   {
-    std::vector<uint64_t> scratch;
-    RadixSort(&sorted, &scratch);
+    std::vector<uint64_t> scratch(sorted.size());
+    if (RadixSort(sorted.data(), scratch.data(), sorted.size(), 0, 64,
+                  Identity()) != sorted.data()) {
+      sorted.swap(scratch);
+    }
   }
 
   auto upper = std::make_shared<std::vector<double>>();
@@ -248,6 +222,101 @@ std::unique_ptr<BinnedColumn> BinnedColumn::Gather(
     out->codes16_ = GatherCodes(codes16_, rows);
   } else {
     out->codes8_ = GatherCodes(codes8_, rows);
+  }
+  return out;
+}
+
+std::unique_ptr<RankedColumn> RankedColumn::Build(const Column& column) {
+  TS_CHECK(column.type() == DataType::kNumeric)
+      << "only numeric columns are ranked";
+  const std::vector<double>& values = column.numeric_values();
+  const size_t n = values.size();
+  // Stage 1: radix-sort (high key half << 32 | row) items over the high
+  // half. That moves 8-byte items through three passes, where sorting
+  // (key, row) over the whole key would move 12 bytes through six.
+  // Buffers are default-initialised: the sort writes every slot it
+  // reads.
+  std::unique_ptr<uint64_t[]> items(new uint64_t[n]);
+  std::unique_ptr<uint64_t[]> scratch(new uint64_t[n]);
+  size_t k = 0;
+  for (size_t r = 0; r < n; ++r) {
+    if (!IsMissingNumeric(values[r])) {
+      items[k++] = OrderedKey(values[r]) >> 32 << 32 | r;
+    }
+  }
+  uint64_t* sorted =
+      RadixSort(items.get(), scratch.get(), k, 32, 32, Identity());
+  uint64_t* spare = sorted == items.get() ? scratch.get() : items.get();
+
+  // Stage 2: a run of equal high halves (rare in a continuous column)
+  // is re-keyed by (low half << 32 | row) and sorted again, which keeps
+  // equal keys in row order as stage 1 did. Then a rank starts at each
+  // run and at each low-half change inside a run.
+  std::unique_ptr<uint32_t[]> rank_of(new uint32_t[k]);
+  uint32_t distinct = 0;
+  for (size_t i = 0; i < k;) {
+    size_t j = i + 1;
+    while (j < k && HalfOf(sorted[j]) == HalfOf(sorted[i])) ++j;
+    if (j - i > 1) {
+      bool one_key = true;  // a run of duplicates is already in order
+      for (size_t t = i; t < j; ++t) {
+        const uint32_t row = RowOf(sorted[t]);
+        sorted[t] = OrderedKey(values[row]) << 32 | row;
+        one_key = one_key && HalfOf(sorted[t]) == HalfOf(sorted[i]);
+      }
+      if (!one_key && j - i <= kSmallRun) {
+        std::sort(sorted + i, sorted + j);
+      } else if (!one_key) {
+        const uint64_t* run =
+            RadixSort(sorted + i, spare + i, j - i, 32, 32, Identity());
+        if (run != sorted + i) std::copy(run, run + (j - i), sorted + i);
+      }
+    }
+    for (size_t t = i; t < j; ++t) {
+      if (t == i || HalfOf(sorted[t]) != HalfOf(sorted[t - 1])) ++distinct;
+      rank_of[t] = distinct - 1;
+    }
+    i = j;
+  }
+
+  auto out = std::unique_ptr<RankedColumn>(new RankedColumn());
+  out->num_ranks_ = distinct;
+  // The missing rank is `distinct` itself, so it must fit as well.
+  if (distinct <= 0xFF) {
+    out->width_ = 1;
+    ScatterRanks(sorted, rank_of.get(), k, n, distinct, &out->ranks8_);
+  } else if (distinct <= 0xFFFF) {
+    out->width_ = 2;
+    ScatterRanks(sorted, rank_of.get(), k, n, distinct, &out->ranks16_);
+  } else {
+    out->width_ = 4;
+    ScatterRanks(sorted, rank_of.get(), k, n, distinct, &out->ranks32_);
+  }
+  return out;
+}
+
+RankedTable::RankedTable(const DataTable& table)
+    : table_(table), slots_(new Slot[table.num_columns()]) {}
+
+const RankedColumn* RankedTable::column(int i) const {
+  if (i < 0 || i >= table_.num_columns() ||
+      i == table_.schema().target_index()) {
+    return nullptr;
+  }
+  const ColumnPtr& col = table_.column(i);
+  if (col == nullptr || col->type() != DataType::kNumeric) return nullptr;
+  Slot& slot = slots_[i];
+  std::call_once(slot.once, [&] {
+    slot.ranks = RankedColumn::Build(*col);
+    slot.built.store(true, std::memory_order_release);
+  });
+  return slot.ranks.get();
+}
+
+std::vector<int32_t> RankedTable::ranked_columns() const {
+  std::vector<int32_t> out;
+  for (int i = 0; i < table_.num_columns(); ++i) {
+    if (slots_[i].built.load(std::memory_order_acquire)) out.push_back(i);
   }
   return out;
 }

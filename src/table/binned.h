@@ -1,8 +1,10 @@
 #ifndef TREESERVER_TABLE_BINNED_H_
 #define TREESERVER_TABLE_BINNED_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/status.h"
@@ -135,6 +137,83 @@ class BinnedTable {
   BinnedTable() = default;
 
   std::vector<std::shared_ptr<const BinnedColumn>> columns_;
+};
+
+/// Rank index of one numeric column, for exact split finding.
+///
+/// Every non-missing cell holds its rank among the column's sorted
+/// distinct values: equal values share a rank and a < b exactly when
+/// rank(a) < rank(b), so a split "v <= t" with t the value of rank r
+/// sends left exactly the rows of rank <= r. −0.0 and +0.0 are equal
+/// and share a rank. Missing cells hold missing_rank() = num_ranks().
+/// Ranks are stored in the narrowest of uint8, uint16 and uint32 that
+/// holds missing_rank(). No table of distinct values is kept: a split
+/// at rank r reads its threshold from any row of rank r.
+class RankedColumn {
+ public:
+  /// Ranks a numeric column in linear time: an LSD radix sort of the
+  /// non-missing values' (high key half, row id) pairs, then each run
+  /// of equal high halves ordered by the low half, then one pass over
+  /// the sorted rows.
+  static std::unique_ptr<RankedColumn> Build(const Column& column);
+
+  /// Distinct non-missing values (value ranks are [0, num_ranks)).
+  uint32_t num_ranks() const { return num_ranks_; }
+  uint32_t missing_rank() const { return num_ranks_; }
+  /// Bytes per stored rank: 1, 2 or 4.
+  int width() const { return width_; }
+
+  /// Calls `f` with the typed rank array (const uint8_t*, const
+  /// uint16_t* or const uint32_t*, by width()) and returns its result,
+  /// so a kernel is instantiated once per width.
+  template <typename F>
+  decltype(auto) Visit(F&& f) const {
+    if (width_ == 1) return f(ranks8_.data());
+    if (width_ == 2) return f(ranks16_.data());
+    return f(ranks32_.data());
+  }
+
+  uint32_t rank_at(size_t row) const {
+    return Visit([row](const auto* ranks) -> uint32_t { return ranks[row]; });
+  }
+
+ private:
+  RankedColumn() = default;
+
+  uint32_t num_ranks_ = 0;
+  int width_ = 1;
+  std::vector<uint8_t> ranks8_;
+  std::vector<uint16_t> ranks16_;
+  std::vector<uint32_t> ranks32_;
+};
+
+/// Lazy per-table rank index: column i is ranked on the first
+/// column(i) call, under a per-column once_flag (concurrent first
+/// callers wait for one build; callers of other columns do not wait),
+/// and shared read-only after. Nothing is built at construction. The
+/// serial trainer keeps one per job, an engine worker one over the
+/// columns it holds, and a subtree task one over its gathered D_x.
+/// `table` must outlive the index.
+class RankedTable {
+ public:
+  explicit RankedTable(const DataTable& table);
+
+  /// Column i's ranks, or nullptr when column i is not a numeric
+  /// feature column of the table (categorical, target, absent).
+  const RankedColumn* column(int i) const;
+
+  /// Columns ranked so far, ascending.
+  std::vector<int32_t> ranked_columns() const;
+
+ private:
+  struct Slot {
+    std::once_flag once;
+    std::unique_ptr<const RankedColumn> ranks;
+    std::atomic<bool> built{false};  // for ranked_columns()
+  };
+
+  const DataTable& table_;
+  std::unique_ptr<Slot[]> slots_;
 };
 
 }  // namespace treeserver

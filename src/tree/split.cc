@@ -6,6 +6,8 @@
 
 #include "common/logging.h"
 #include "common/metrics_registry.h"
+#include "table/binned.h"
+#include "table/radix_sort.h"
 
 namespace treeserver {
 
@@ -162,27 +164,21 @@ void FinishSplitOutcome(const SplitContext& ctx, const TargetStats& missing,
 namespace {
 
 // ---------------------------------------------------------------------
-// Case 1 (Appendix B): ordinal attribute, any target. Sort the
-// non-missing (value, y) pairs and scan once, updating left/right
-// sufficient statistics in O(1) per step.
+// Case 1 (Appendix B): ordinal attribute, any target. Gather the node's
+// non-missing rows as (rank, y) keys, sort them by rank and scan once,
+// updating left/right sufficient statistics in O(1) per step. The
+// candidate cuts are the boundaries between ranks, i.e. between
+// distinct values.
 // ---------------------------------------------------------------------
 
-struct NumericPairCls {
-  double v;
-  int32_t y;
-};
-struct NumericPairReg {
-  double v;
-  double y;
-};
-
-// Thread-local scratch arena for the exact kernels: the pair buffers
-// and per-category stat tables are reused across calls, so steady-state
+// Thread-local scratch arena for the exact kernels: the key buffers and
+// per-category stat tables are reused across calls, so steady-state
 // split evaluation performs no heap allocation proportional to the node
 // size. Each comper thread owns one arena; kernels never nest.
 struct ExactScratch {
-  std::vector<NumericPairCls> cls_pairs;
-  std::vector<NumericPairReg> reg_pairs;
+  std::vector<uint64_t> keys;
+  std::vector<uint64_t> keys_scratch;
+  std::vector<double> ys;
   std::vector<ClassStats> per_cat_cls;
   std::vector<RegStats> per_cat_reg;
   std::vector<int32_t> seen;
@@ -209,36 +205,103 @@ Counter* ExactSortsCounter() {
   return c;
 }
 
-SplitOutcome NumericBestClassification(const Column& feature, int column_index,
+// Nodes up to this size sort their keys with std::sort, where the
+// radix sort's counting tables cost more than the comparisons: about
+// 48 keys for one 8-bit digit and 190 for two 9-bit digits (17-bit
+// ranks) on a 4-vCPU AVX2 host.
+size_t SmallSortLimit(int rank_bits) { return rank_bits <= 11 ? 64 : 192; }
+
+// A node key: the row's rank above a 32-bit low word.
+uint32_t RankOf(uint64_t key) { return static_cast<uint32_t>(key >> 32); }
+uint32_t LowOf(uint64_t key) { return static_cast<uint32_t>(key); }
+
+// Bits that hold every value rank below `missing_rank` (>= 1).
+int RankBits(uint32_t missing_rank) {
+  int bits = 1;
+  while (bits < 32 && (missing_rank - 1) >> bits != 0) ++bits;
+  return bits;
+}
+
+// Gathers the node's rows as (rank << 32 | low(row)) keys in node
+// order, skipping missing ranks (whose targets go to `missing`), and
+// sorts them by rank: an LSD radix sort over only the `rank_bits` that
+// hold the column's ranks, which is stable, so equal ranks keep node
+// order. A small node's std::sort over the whole key orders equal ranks
+// by the low word instead; the kernels below are correct under either
+// order. Returns the sorted keys; the count is `*k`.
+template <typename Rank, typename Low>
+const uint64_t* GatherSortedKeys(const Rank* ranks, uint32_t missing_rank,
+                                 int rank_bits, const Column& target,
+                                 const uint32_t* rows, size_t n, Low low,
+                                 TargetStats* missing, size_t* k) {
+  ExactScratch& s = Scratch();
+  if (s.keys.size() < n) {
+    s.keys.resize(n);
+    s.keys_scratch.resize(n);
+  }
+  uint64_t* keys = s.keys.data();
+  size_t count = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t row = rows ? rows[i] : static_cast<uint32_t>(i);
+    const uint32_t rank = ranks[row];
+    if (rank == missing_rank) {
+      AddRow(missing, target, row);
+    } else {
+      keys[count++] = uint64_t{rank} << 32 | low(row);
+    }
+  }
+  *k = count;
+  if (count < 2) return keys;
+  ExactSortsCounter()->Inc();
+  if (count <= SmallSortLimit(rank_bits)) {
+    std::sort(keys, keys + count);
+    return keys;
+  }
+  return RadixSort(keys, s.keys_scratch.data(), count, 32, rank_bits,
+                   [](uint64_t key) { return key; });
+}
+
+// The split threshold at rank `rank`: the value of the first node row
+// of that rank (all of them compare equal). A zero threshold is +0.0,
+// as for histogram bin boundaries, whichever zero the row holds.
+template <typename Rank>
+double ThresholdOfRank(const Column& feature, const Rank* ranks,
+                       const uint32_t* rows, size_t n, uint32_t rank) {
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t row = rows ? rows[i] : static_cast<uint32_t>(i);
+    if (ranks[row] == rank) {
+      const double v = feature.numeric_at(row);
+      return v == 0.0 ? 0.0 : v;
+    }
+  }
+  TS_CHECK(false) << "winning rank has no row";
+  return 0.0;
+}
+
+template <typename Rank>
+SplitOutcome NumericBestClassification(const Column& feature,
+                                       const Rank* ranks,
+                                       uint32_t missing_rank, int column_index,
                                        const Column& target,
                                        const SplitContext& ctx,
                                        const uint32_t* rows, size_t n) {
   SplitOutcome out;
   ExactScratch& s = Scratch();
-  std::vector<NumericPairCls>& pairs = s.cls_pairs;
-  pairs.clear();
-  pairs.reserve(n);
   TargetStats missing = MakeStats(ctx);
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t row = rows ? rows[i] : static_cast<uint32_t>(i);
-    double v = feature.numeric_at(row);
-    if (IsMissingNumeric(v)) {
-      AddRow(&missing, target, row);
-    } else {
-      pairs.push_back({v, target.category_at(row)});
-    }
-  }
-  const size_t k = pairs.size();
+  size_t k = 0;
+  const uint64_t* keys = GatherSortedKeys(
+      ranks, missing_rank, RankBits(missing_rank), target, rows, n,
+      [&](uint32_t row) {
+        return static_cast<uint32_t>(target.category_at(row));
+      },
+      &missing, &k);
   if (k < 2) return out;
-  std::sort(pairs.begin(), pairs.end(),
-            [](const NumericPairCls& a, const NumericPairCls& b) {
-              return a.v < b.v;
-            });
-  ExactSortsCounter()->Inc();
 
   ResetClassStats(&s.left, ctx.num_classes);
   ResetClassStats(&s.total, ctx.num_classes);
-  for (const NumericPairCls& p : pairs) s.total.Add(p.y);
+  for (size_t i = 0; i < k; ++i) {
+    s.total.Add(static_cast<int32_t>(LowOf(keys[i])));
+  }
   s.right = s.total;
   ResetClassStats(&s.best_left, ctx.num_classes);
 
@@ -246,9 +309,10 @@ SplitOutcome NumericBestClassification(const Column& feature, int column_index,
   size_t best_idx = k;  // sentinel: no candidate
   const double kd = static_cast<double>(k);
   for (size_t i = 0; i + 1 < k; ++i) {
-    s.left.Add(pairs[i].y);
-    s.right.Remove(pairs[i].y);
-    if (pairs[i].v == pairs[i + 1].v) continue;
+    const int32_t y = static_cast<int32_t>(LowOf(keys[i]));
+    s.left.Add(y);
+    s.right.Remove(y);
+    if (RankOf(keys[i]) == RankOf(keys[i + 1])) continue;
     double score = (static_cast<double>(s.left.n) *
                         s.left.ImpurityValue(ctx.impurity) +
                     static_cast<double>(s.right.n) *
@@ -272,40 +336,38 @@ SplitOutcome NumericBestClassification(const Column& feature, int column_index,
   out.right_stats.cls.n -= s.best_left.n;
   out.condition.column = column_index;
   out.condition.type = DataType::kNumeric;
-  out.condition.threshold = pairs[best_idx].v;
+  out.condition.threshold =
+      ThresholdOfRank(feature, ranks, rows, n, RankOf(keys[best_idx]));
   FinishSplitOutcome(ctx, missing, &out);
   return out;
 }
 
-SplitOutcome NumericBestRegression(const Column& feature, int column_index,
+template <typename Rank>
+SplitOutcome NumericBestRegression(const Column& feature, const Rank* ranks,
+                                   uint32_t missing_rank, int column_index,
                                    const Column& target,
                                    const SplitContext& ctx,
                                    const uint32_t* rows, size_t n) {
   SplitOutcome out;
   ExactScratch& s = Scratch();
-  std::vector<NumericPairReg>& pairs = s.reg_pairs;
-  pairs.clear();
-  pairs.reserve(n);
+  // The low word is the row's position among the node's non-missing
+  // rows, so equal ranks sort in node order under both sorts, and
+  // ys[position] is its target.
+  std::vector<double>& ys = s.ys;
+  ys.clear();
   TargetStats missing = MakeStats(ctx);
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t row = rows ? rows[i] : static_cast<uint32_t>(i);
-    double v = feature.numeric_at(row);
-    if (IsMissingNumeric(v)) {
-      AddRow(&missing, target, row);
-    } else {
-      pairs.push_back({v, target.numeric_at(row)});
-    }
-  }
-  const size_t k = pairs.size();
+  size_t k = 0;
+  const uint64_t* keys = GatherSortedKeys(
+      ranks, missing_rank, RankBits(missing_rank), target, rows, n,
+      [&](uint32_t row) {
+        ys.push_back(target.numeric_at(row));
+        return static_cast<uint32_t>(ys.size() - 1);
+      },
+      &missing, &k);
   if (k < 2) return out;
-  std::sort(pairs.begin(), pairs.end(),
-            [](const NumericPairReg& a, const NumericPairReg& b) {
-              return a.v < b.v;
-            });
-  ExactSortsCounter()->Inc();
 
   RegStats total;
-  for (const NumericPairReg& p : pairs) total.Add(p.y);
+  for (size_t i = 0; i < k; ++i) total.Add(ys[LowOf(keys[i])]);
   RegStats left;
   RegStats right = total;
   RegStats best_left;
@@ -314,9 +376,10 @@ SplitOutcome NumericBestRegression(const Column& feature, int column_index,
   size_t best_idx = k;
   const double kd = static_cast<double>(k);
   for (size_t i = 0; i + 1 < k; ++i) {
-    left.Add(pairs[i].y);
-    right.Remove(pairs[i].y);
-    if (pairs[i].v == pairs[i + 1].v) continue;
+    const double y = ys[LowOf(keys[i])];
+    left.Add(y);
+    right.Remove(y);
+    if (RankOf(keys[i]) == RankOf(keys[i + 1])) continue;
     double score = (static_cast<double>(left.n) * left.Variance() +
                     static_cast<double>(right.n) * right.Variance()) /
                    kd;
@@ -336,7 +399,8 @@ SplitOutcome NumericBestRegression(const Column& feature, int column_index,
   out.right_stats.reg.sum_sq = total.sum_sq - best_left.sum_sq;
   out.condition.column = column_index;
   out.condition.type = DataType::kNumeric;
-  out.condition.threshold = pairs[best_idx].v;
+  out.condition.threshold =
+      ThresholdOfRank(feature, ranks, rows, n, RankOf(keys[best_idx]));
   FinishSplitOutcome(ctx, missing, &out);
   return out;
 }
@@ -512,15 +576,27 @@ TargetStats ComputeTargetStats(const Column& target, const SplitContext& ctx,
   return stats;
 }
 
+SplitOutcome FindBestNumericSplit(const Column& feature,
+                                  const RankedColumn& ranks, int column_index,
+                                  const Column& target,
+                                  const SplitContext& ctx,
+                                  const uint32_t* rows, size_t n) {
+  const uint32_t missing = ranks.missing_rank();
+  return ranks.Visit([&](const auto* r) {
+    return ctx.kind == TaskKind::kClassification
+               ? NumericBestClassification(feature, r, missing, column_index,
+                                           target, ctx, rows, n)
+               : NumericBestRegression(feature, r, missing, column_index,
+                                       target, ctx, rows, n);
+  });
+}
+
 SplitOutcome FindBestSplit(const Column& feature, int column_index,
                            const Column& target, const SplitContext& ctx,
                            const uint32_t* rows, size_t n) {
   if (feature.type() == DataType::kNumeric) {
-    return ctx.kind == TaskKind::kClassification
-               ? NumericBestClassification(feature, column_index, target, ctx,
-                                           rows, n)
-               : NumericBestRegression(feature, column_index, target, ctx,
-                                       rows, n);
+    return FindBestNumericSplit(feature, *RankedColumn::Build(feature),
+                                column_index, target, ctx, rows, n);
   }
   return ctx.kind == TaskKind::kClassification
              ? CategoricalClassification(feature, column_index, target, ctx,

@@ -11,6 +11,8 @@
 
 namespace treeserver {
 
+class RankedColumn;
+
 /// A node's split-condition (Section II): "A_i <= v" for ordinal
 /// attributes, "A_i in S_l" for categorical attributes.
 ///
@@ -118,11 +120,13 @@ struct SplitContext {
   int num_classes = 0;
 };
 
-/// How numeric splits are found. kExact sorts the (value, y) pairs per
-/// node per column — the paper's exact-training guarantee and the
-/// default everywhere. kHistogram scans pre-binned columns
-/// (table/binned.h, tree/hist.h) in O(n + bins); with max_bins >= the
-/// number of distinct values it degenerates to the exact algorithm.
+/// How numeric splits are found. kExact scores every cut between
+/// distinct values — the paper's exact-training guarantee and the
+/// default everywhere: each numeric column is ranked once (RankedColumn,
+/// table/binned.h) and a node radix-sorts its rows' integer ranks, not
+/// their values. kHistogram scans pre-binned columns (table/binned.h,
+/// tree/hist.h) in O(n + bins); with max_bins >= the number of distinct
+/// values it degenerates to the exact algorithm.
 enum class SplitMethod : uint8_t {
   kExact = 0,
   kHistogram = 1,
@@ -148,10 +152,23 @@ TargetStats ComputeTargetStats(const Column& target, const SplitContext& ctx,
 /// sorted-group pass for categorical regression, and one-vs-rest
 /// enumeration for categorical classification. Rows with a missing
 /// attribute value are excluded from scoring and routed to the larger
-/// child afterwards.
+/// child afterwards. A numeric feature is ranked inside the call (O(N)
+/// over the whole column); callers that split one column at many nodes
+/// rank it once and call FindBestNumericSplit.
 SplitOutcome FindBestSplit(const Column& feature, int column_index,
                            const Column& target, const SplitContext& ctx,
                            const uint32_t* rows, size_t n);
+
+/// The exact best split of numeric `feature` over `rows`, given its rank
+/// index (`ranks` = RankedColumn::Build(feature)). The node's (rank, y)
+/// keys are radix-sorted over the rank's bytes and scanned once; the
+/// cut after rank r has threshold = the value of rank r, read from the
+/// column at a node row of that rank (+0.0 for a zero).
+SplitOutcome FindBestNumericSplit(const Column& feature,
+                                  const RankedColumn& ranks, int column_index,
+                                  const Column& target,
+                                  const SplitContext& ctx,
+                                  const uint32_t* rows, size_t n);
 
 /// Extra-trees variant: a uniformly random threshold in [min, max] for
 /// ordinal attributes, or a random nonempty proper subset of the seen

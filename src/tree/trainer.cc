@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 
 #include "common/logging.h"
 #include "common/metrics_registry.h"
@@ -41,6 +42,9 @@ struct Frame {
   // derived from the parent by sibling subtraction. Null means "build
   // from rows when (and if) the node is split".
   std::shared_ptr<NodeHists> hists;
+  // The node's target statistics as its parent's split outcome
+  // reported them (missing rows routed); empty at the root.
+  std::optional<TargetStats> split_stats;
 };
 
 // Builds the per-column histograms of one node in a single O(n) pass
@@ -84,6 +88,7 @@ SplitOutcome FindNodeSplit(const DataTable& table, const uint32_t* rows,
                            size_t n, const std::vector<int>& candidates,
                            const SplitContext& ctx, const TreeConfig& config,
                            Rng* rng, const BinnedTable* binned,
+                           const RankedTable* ranked,
                            const NodeHists* hists) {
   const ColumnPtr& target = table.target();
   SplitOutcome best;
@@ -104,9 +109,13 @@ SplitOutcome FindNodeSplit(const DataTable& table, const uint32_t* rows,
   for (size_t i = 0; i < candidates.size(); ++i) {
     const int col = candidates[i];
     const BinnedColumn* bc = binned ? binned->column(col) : nullptr;
+    const RankedColumn* rc = ranked ? ranked->column(col) : nullptr;
     SplitOutcome outcome;
     if (bc != nullptr && hists != nullptr && !(*hists)[i].empty()) {
       outcome = (*hists)[i].BestSplit(*bc, col, ctx);
+    } else if (rc != nullptr) {
+      outcome = FindBestNumericSplit(*table.column(col), *rc, col, *target,
+                                     ctx, rows, n);
     } else {
       outcome = FindBestSplit(*table.column(col), col, *target, ctx, rows, n);
     }
@@ -120,7 +129,7 @@ SplitOutcome FindNodeSplit(const DataTable& table, const uint32_t* rows,
 TreeModel TrainTree(const DataTable& table, std::vector<uint32_t> rows,
                     const std::vector<int>& candidate_columns,
                     const TreeConfig& config, Rng* rng,
-                    const BinnedTable* binned) {
+                    const BinnedTable* binned, const RankedTable* ranked) {
   const Schema& schema = table.schema();
   SplitContext ctx{schema.task_kind(), config.impurity, schema.num_classes()};
   TreeModel model(ctx.kind, ctx.num_classes);
@@ -135,6 +144,15 @@ TreeModel TrainTree(const DataTable& table, std::vector<uint32_t> rows,
     binned = owned_binned.get();
   }
   if (!hist_mode) binned = nullptr;
+  // Exact mode: rank each candidate column on first use, once for the
+  // whole tree, unless the caller shares an index. Extra-trees draws
+  // thresholds from [min, max] and needs no ranks.
+  const bool exact_mode = !hist_mode && !config.extra_trees;
+  std::optional<RankedTable> owned_ranked;
+  if (exact_mode && ranked == nullptr) {
+    ranked = &owned_ranked.emplace(table);
+  }
+  if (!exact_mode) ranked = nullptr;
   if (rows.empty()) {
     // Degenerate but well-defined: a single empty leaf.
     TreeModel::Node leaf;
@@ -160,14 +178,28 @@ TreeModel TrainTree(const DataTable& table, std::vector<uint32_t> rows,
     const size_t n = f.end - f.begin;
     const uint32_t* row_ptr = rows.data() + f.begin;
 
-    TargetStats stats = ComputeTargetStats(*target, ctx, row_ptr, n);
+    const int global_depth = config.base_depth + f.depth;
+    auto is_leaf = [&](const TargetStats& s) {
+      return s.IsPure() || n <= config.min_leaf ||
+             global_depth >= config.max_depth;
+    };
+    // A child that its parent's split outcome already makes a leaf
+    // takes its prediction from that outcome's statistics, exactly as
+    // the engine's master does (it never sees the child's rows): the
+    // outcome sums regression targets in kernel order, not row order,
+    // so recomputing them here could differ in the last bits.
+    TargetStats stats;
+    bool leaf;
+    if (f.split_stats.has_value() && is_leaf(*f.split_stats)) {
+      stats = std::move(*f.split_stats);
+      leaf = true;
+    } else {
+      stats = ComputeTargetStats(*target, ctx, row_ptr, n);
+      leaf = is_leaf(stats);
+    }
     TreeModel::Node& node = model.mutable_node(f.node_id);
     node.depth = static_cast<uint16_t>(f.depth);
     FillNodePrediction(stats, &node);
-
-    const int global_depth = config.base_depth + f.depth;
-    bool leaf = stats.IsPure() || n <= config.min_leaf ||
-                global_depth >= config.max_depth;
     if (!leaf) {
       if (binned != nullptr && f.hists == nullptr) {
         // Root (or a node whose histograms were skipped as a predicted
@@ -185,14 +217,14 @@ TreeModel TrainTree(const DataTable& table, std::vector<uint32_t> rows,
         span.SetArg("rows", static_cast<int64_t>(n));
         auto start = std::chrono::steady_clock::now();
         best = FindNodeSplit(table, row_ptr, n, candidate_columns, ctx,
-                             config, rng, binned, f.hists.get());
+                             config, rng, binned, ranked, f.hists.get());
         split_eval_us->Add(static_cast<uint64_t>(
             std::chrono::duration_cast<std::chrono::microseconds>(
                 std::chrono::steady_clock::now() - start)
                 .count()));
       } else {
         best = FindNodeSplit(table, row_ptr, n, candidate_columns, ctx,
-                             config, rng, binned, f.hists.get());
+                             config, rng, binned, ranked, f.hists.get());
       }
       if (!best.valid || best.gain <= kMinSplitGain) {
         leaf = true;
@@ -297,10 +329,12 @@ TreeModel TrainTree(const DataTable& table, std::vector<uint32_t> rows,
         // Right pushed first so the left child is processed next
         // (depth-first, left-to-right), matching B_plan's head-insert
         // order in the engine.
-        stack.push_back(
-            Frame{right_id, mid, f.end, f.depth + 1, std::move(right_hists)});
-        stack.push_back(
-            Frame{left_id, f.begin, mid, f.depth + 1, std::move(left_hists)});
+        stack.push_back(Frame{right_id, mid, f.end, f.depth + 1,
+                              std::move(right_hists),
+                              std::move(best.right_stats)});
+        stack.push_back(Frame{left_id, f.begin, mid, f.depth + 1,
+                              std::move(left_hists),
+                              std::move(best.left_stats)});
       }
     }
   }
@@ -310,11 +344,12 @@ TreeModel TrainTree(const DataTable& table, std::vector<uint32_t> rows,
 TreeModel TrainTreeOnTable(const DataTable& table,
                            const std::vector<int>& candidate_columns,
                            const TreeConfig& config, Rng* rng,
-                           const BinnedTable* binned) {
+                           const BinnedTable* binned,
+                           const RankedTable* ranked) {
   std::vector<uint32_t> rows(table.num_rows());
   for (size_t i = 0; i < rows.size(); ++i) rows[i] = static_cast<uint32_t>(i);
   return TrainTree(table, std::move(rows), candidate_columns, config, rng,
-                   binned);
+                   binned, ranked);
 }
 
 }  // namespace treeserver

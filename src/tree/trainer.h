@@ -10,6 +10,7 @@
 namespace treeserver {
 
 class BinnedTable;
+class RankedTable;
 
 /// Hyperparameters of a single decision tree.
 struct TreeConfig {
@@ -49,16 +50,24 @@ struct TreeConfig {
 /// only through its codes: splits come from histograms and rows
 /// partition by code. A subtree task therefore passes the codes of its
 /// gathered rows and leaves those columns null in `table`.
+///
+/// In exact mode `ranked` supplies the rank index of `table`'s numeric
+/// columns (shared across the trees of a job); when nullptr a lazy one
+/// over `table` is made for this call, so each candidate column is
+/// ranked once per call, not once per node. A subtree task relies on
+/// that to rank its gathered D_x columns once per task.
 TreeModel TrainTree(const DataTable& table, std::vector<uint32_t> rows,
                     const std::vector<int>& candidate_columns,
                     const TreeConfig& config, Rng* rng = nullptr,
-                    const BinnedTable* binned = nullptr);
+                    const BinnedTable* binned = nullptr,
+                    const RankedTable* ranked = nullptr);
 
 /// Trains over every row of the table.
 TreeModel TrainTreeOnTable(const DataTable& table,
                            const std::vector<int>& candidate_columns,
                            const TreeConfig& config, Rng* rng = nullptr,
-                           const BinnedTable* binned = nullptr);
+                           const BinnedTable* binned = nullptr,
+                           const RankedTable* ranked = nullptr);
 
 /// Builds the node prediction fields (PMF/label or mean) from target
 /// statistics. Shared by the serial trainer and the engine's master.

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
 #include <thread>
 
+#include "common/serial.h"
 #include "engine/cluster.h"
+#include "engine/master.h"
 #include "forest/forest.h"
 #include "table/datasets.h"
 
@@ -208,6 +213,60 @@ TEST(EngineStressTest, WideTableManyColumns) {
   for (size_t i = 0; i < 2; ++i) {
     EXPECT_TRUE(forest.tree(i).StructurallyEqual(reference.tree(i)));
   }
+}
+
+// Exact regression with non-integer targets on three compers per
+// worker. Every worker ranks a held column in the first column task
+// that needs it, so compers race on the same column's first use (the
+// rank cache's once_flag), and each subtree task ranks its gathered
+// columns. The forest must still match the serial trainer byte for
+// byte, and only a column's holders may rank it.
+TEST(EngineStressTest, ExactRegressionRacesRankBuildsAndMatchesSerialBytes) {
+  DatasetProfile p;
+  p.rows = 3000;
+  p.num_numeric = 6;
+  p.num_categorical = 2;
+  p.num_classes = 0;
+  p.noise = 0.08;
+  p.missing_fraction = 0.05;
+  DataTable t = GenerateTable(p, 223);
+  const std::vector<double>& y = t.target()->numeric_values();
+  ASSERT_TRUE(std::any_of(y.begin(), y.end(),
+                          [](double v) { return v != std::round(v); }))
+      << "targets must be non-integer";
+
+  EngineConfig cfg;
+  cfg.num_workers = 3;
+  cfg.compers_per_worker = 3;
+  cfg.tau_d = 400;
+  cfg.tau_dfs = 1200;
+  ForestJobSpec spec;
+  spec.num_trees = 4;
+  spec.tree.max_depth = 8;
+  spec.tree.impurity = Impurity::kVariance;
+  spec.column_ratio = 0.8;
+  auto bytes = [](const ForestModel& m) {
+    BinaryWriter w;
+    m.Serialize(&w);
+    return w.Release();
+  };
+  const std::string reference = bytes(TrainForestSerial(t, spec, 2));
+
+  TreeServerCluster cluster(t, cfg);
+  EXPECT_EQ(bytes(cluster.TrainForest(spec)), reference);
+  size_t ranked = 0;
+  for (const WorkerStats& w : cluster.GetEngineStats().workers) {
+    ranked += w.ranked_columns.size();
+    for (int32_t col : w.ranked_columns) {
+      const std::vector<int> holders =
+          cluster.master().placement().holders(col);
+      EXPECT_NE(std::find(holders.begin(), holders.end(), w.worker),
+                holders.end())
+          << "w" << w.worker << " ranked column " << col
+          << " without holding it";
+    }
+  }
+  EXPECT_GT(ranked, 0u) << "no column task ranked a column";
 }
 
 }  // namespace

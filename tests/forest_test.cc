@@ -103,6 +103,31 @@ TEST(SerialForestGoldenTest, BenchmarkTablesKeepTheirForestBytes) {
             std::make_pair(size_t{1905701}, uint32_t{0x86920a6e}));
 }
 
+// Size and CRC-32C of an exact-mode regression forest on the allstate-
+// like table at seed 7 (integer targets, 5% missing cells), recorded
+// while numeric splits still sorted (value, y) pairs per node. The rank
+// kernel must keep every byte: with integer targets each regression sum
+// is exact whatever order tied values are added in.
+TEST(SerialForestGoldenTest, ExactRegressionKeepsItsForestBytes) {
+  DatasetProfile reg;
+  reg.name = "allstate_like";
+  reg.rows = 150000;
+  reg.num_numeric = 13;
+  reg.num_categorical = 14;
+  reg.num_classes = 0;
+  reg.missing_fraction = 0.05;
+  reg.concept_depth = 8;
+  ForestJobSpec spec;
+  spec.num_trees = 2;
+  spec.tree.max_depth = 10;
+  spec.tree.min_leaf = 2;
+  spec.tree.impurity = Impurity::kVariance;
+  spec.column_ratio = 0.5;
+  spec.seed = 7;
+  EXPECT_EQ(SerialForestDigest(BenchTable(reg, true, 7), spec),
+            std::make_pair(size_t{320367}, uint32_t{0x076ddab8}));
+}
+
 TEST(ForestJobSpecTest, ColumnsPerTree) {
   ForestJobSpec spec;
   spec.column_ratio = 0.5;

@@ -709,7 +709,12 @@ TEST(TcpClusterTest, SurvivesKilledWorkerMidJob) {
   EngineConfig cfg = SmallClusterConfig(3);
   cfg.replication = 2;
   ForestJobSpec spec = SmallJob();
-  spec.num_trees = 8;
+  // The job must still be running when the kill (30 ms in) is detected
+  // (five missed 10 ms heartbeats), or no task is lost and the master
+  // may finish before it declares the worker dead. 40 trees take about
+  // 70 ms in-process on a 4-vCPU host, as 8 trees did with the old
+  // comparison-sort exact kernel.
+  spec.num_trees = 40;
 
   ForestModel forest;
   uint64_t heartbeat_misses = 0;
