@@ -52,17 +52,9 @@ void AssignCodes(const std::vector<double>& values,
   }
 }
 
-// Runs of equal high key halves up to this long are ordered with
-// std::sort; longer ones with a radix sort, whose counting tables cost
-// about as much to clear as sorting a run this long.
-constexpr size_t kSmallRun = 1024;
-
 // Sort items of the rank build: a 32-bit key half above a row id.
 uint32_t RowOf(uint64_t item) { return static_cast<uint32_t>(item); }
 uint32_t HalfOf(uint64_t item) { return static_cast<uint32_t>(item >> 32); }
-struct Identity {
-  uint64_t operator()(uint64_t item) const { return item; }
-};
 
 // Writes rank_of[i] at the row of sorted item i; rows absent from
 // `sorted` (missing values) keep `missing`.
@@ -138,8 +130,8 @@ std::unique_ptr<BinnedColumn> BinnedColumn::Build(const Column& column,
   }
   {
     std::vector<uint64_t> scratch(sorted.size());
-    if (RadixSort(sorted.data(), scratch.data(), sorted.size(), 0, 64,
-                  Identity()) != sorted.data()) {
+    if (RadixSort(sorted.data(), scratch.data(), sorted.size(), 0, 64) !=
+        sorted.data()) {
       sorted.swap(scratch);
     }
   }
@@ -244,9 +236,7 @@ std::unique_ptr<RankedColumn> RankedColumn::Build(const Column& column) {
       items[k++] = OrderedKey(values[r]) >> 32 << 32 | r;
     }
   }
-  uint64_t* sorted =
-      RadixSort(items.get(), scratch.get(), k, 32, 32, Identity());
-  uint64_t* spare = sorted == items.get() ? scratch.get() : items.get();
+  uint64_t* sorted = RadixSort(items.get(), scratch.get(), k, 32, 32);
 
   // Stage 2: a run of equal high halves (rare in a continuous column)
   // is re-keyed by (low half << 32 | row) and sorted again, which keeps
@@ -264,13 +254,7 @@ std::unique_ptr<RankedColumn> RankedColumn::Build(const Column& column) {
         sorted[t] = OrderedKey(values[row]) << 32 | row;
         one_key = one_key && HalfOf(sorted[t]) == HalfOf(sorted[i]);
       }
-      if (!one_key && j - i <= kSmallRun) {
-        std::sort(sorted + i, sorted + j);
-      } else if (!one_key) {
-        const uint64_t* run =
-            RadixSort(sorted + i, spare + i, j - i, 32, 32, Identity());
-        if (run != sorted + i) std::copy(run, run + (j - i), sorted + i);
-      }
+      if (!one_key) std::sort(sorted + i, sorted + j);
     }
     for (size_t t = i; t < j; ++t) {
       if (t == i || HalfOf(sorted[t]) != HalfOf(sorted[t - 1])) ++distinct;

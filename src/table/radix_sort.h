@@ -29,18 +29,17 @@ inline double FromOrderedKey(uint64_t key) {
   return v;
 }
 
-/// Stable LSD radix sort of `items[0, n)` by bits [first_bit, first_bit
-/// + num_bits) of the uint64 `key(item)`; other bits are ignored, so
-/// items equal in those bits keep their input order. The range is cut
-/// into the fewest digits of at most 11 bits (a 17-bit range is two
-/// 9-bit passes). One read pass counts every digit; a pass whose digit
-/// is the same for every item moves nothing and is skipped. `scratch`
-/// holds n items and is the other ping-pong buffer. Returns whichever
-/// of the two buffers holds the sorted items. n < 2^32;
+/// Stable LSD radix sort of the keys `items[0, n)` by bits [first_bit,
+/// first_bit + num_bits); other bits are ignored, so keys equal in those
+/// bits keep their input order. The range is cut into the fewest digits
+/// of at most 11 bits (a 17-bit range is two 9-bit passes). One read
+/// pass counts every digit; a pass whose digit is the same for every
+/// key moves nothing and is skipped. `scratch`
+/// holds n keys and is the other ping-pong buffer. Returns whichever
+/// of the two buffers holds the sorted keys. n < 2^32;
 /// 0 <= first_bit, first_bit + num_bits <= 64.
-template <typename T, typename KeyFn>
-T* RadixSort(T* items, T* scratch, size_t n, int first_bit, int num_bits,
-             KeyFn key) {
+inline uint64_t* RadixSort(uint64_t* items, uint64_t* scratch, size_t n,
+                           int first_bit, int num_bits) {
   constexpr int kMaxDigitBits = 11;
   constexpr int kMaxDigits = (64 + kMaxDigitBits - 1) / kMaxDigitBits;
   if (n < 2 || num_bits <= 0) return items;
@@ -53,17 +52,17 @@ T* RadixSort(T* items, T* scratch, size_t n, int first_bit, int num_bits,
     std::memset(counts[d], 0, buckets * sizeof(uint32_t));
   }
   for (size_t i = 0; i < n; ++i) {
-    const uint64_t k = key(items[i]) >> first_bit;
+    const uint64_t k = items[i] >> first_bit;
     for (int d = 0; d < digits; ++d) {
       ++counts[d][(k >> (digit_bits * d)) & mask];
     }
   }
-  T* src = items;
-  T* dst = scratch;
+  uint64_t* src = items;
+  uint64_t* dst = scratch;
   for (int d = 0; d < digits; ++d) {
     uint32_t* offset = counts[d];
     const int shift = first_bit + digit_bits * d;
-    if (offset[(key(src[0]) >> shift) & mask] == n) continue;
+    if (offset[(src[0] >> shift) & mask] == n) continue;
     uint32_t sum = 0;
     for (size_t b = 0; b < buckets; ++b) {
       const uint32_t count = offset[b];
@@ -71,7 +70,7 @@ T* RadixSort(T* items, T* scratch, size_t n, int first_bit, int num_bits,
       sum += count;
     }
     for (size_t i = 0; i < n; ++i) {
-      dst[offset[(key(src[i]) >> shift) & mask]++] = src[i];
+      dst[offset[(src[i] >> shift) & mask]++] = src[i];
     }
     std::swap(src, dst);
   }

@@ -257,8 +257,7 @@ const uint64_t* GatherSortedKeys(const Rank* ranks, uint32_t missing_rank,
     std::sort(keys, keys + count);
     return keys;
   }
-  return RadixSort(keys, s.keys_scratch.data(), count, 32, rank_bits,
-                   [](uint64_t key) { return key; });
+  return RadixSort(keys, s.keys_scratch.data(), count, 32, rank_bits);
 }
 
 // The split threshold at rank `rank`: the value of the first node row

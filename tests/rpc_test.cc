@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <memory>
 #include <random>
 #include <string>
@@ -709,21 +712,36 @@ TEST(TcpClusterTest, SurvivesKilledWorkerMidJob) {
   EngineConfig cfg = SmallClusterConfig(3);
   cfg.replication = 2;
   ForestJobSpec spec = SmallJob();
-  // The job must still be running when the kill (30 ms in) is detected
-  // (five missed 10 ms heartbeats), or no task is lost and the master
-  // may finish before it declares the worker dead. 40 trees take about
-  // 70 ms in-process on a 4-vCPU host, as 8 trees did with the old
-  // comparison-sort exact kernel.
-  spec.num_trees = 40;
+  spec.num_trees = 8;
 
   ForestModel forest;
   uint64_t heartbeat_misses = 0;
   {
     TcpCluster cluster(MakeClusterData(3000, 301), cfg, 10, 5);
     uint32_t job = cluster.master->Submit(spec);
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    // Kill as soon as the job has scheduled work, so the kill lands
+    // mid-job however fast the job runs: worker 2 holds most columns,
+    // so some task sent to it is lost and the job cannot finish before
+    // the master declares it dead (five missed 10 ms heartbeats).
+    const auto start = std::chrono::steady_clock::now();
+    while (cluster.master->tasks_scheduled() == 0) {
+      ASSERT_LT(std::chrono::steady_clock::now() - start,
+                std::chrono::seconds(10))
+          << "the job scheduled no task";
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
     cluster.KillWorker(2);
-    forest = cluster.master->Wait(job);
+    // A job that never finishes after the kill fails here instead of
+    // holding the suite until ctest's timeout. The blocked master
+    // cannot be joined, so the process exits.
+    auto done = std::async(std::launch::async,
+                           [&] { return cluster.master->Wait(job); });
+    if (done.wait_for(std::chrono::seconds(60)) !=
+        std::future_status::ready) {
+      std::fprintf(stderr, "job did not finish within 60 s of the kill\n");
+      std::_Exit(1);
+    }
+    forest = done.get();
     heartbeat_misses =
         cluster.master_tx->GetStats().endpoints[2].heartbeat_misses;
     EXPECT_TRUE(cluster.master_tx->IsCrashed(2));

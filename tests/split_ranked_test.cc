@@ -387,9 +387,8 @@ TEST(SplitRankedTest, RanksFollowValueOrder) {
 }
 
 // Values one ulp apart share the high half of their sort key, so the
-// rank build orders them in its second stage: runs short enough for
-// std::sort, runs long enough for a radix sort, and exact duplicates
-// inside both.
+// rank build orders them in its second stage: runs of several lengths,
+// with exact duplicates inside each.
 TEST(SplitRankedTest, ValuesApartOnlyInLowKeyBitsRankInOrder) {
   Rng rng(17);
   std::vector<double> x;
