@@ -7,14 +7,22 @@
 // excludes the one-off BinnedTable build (it happens once per job, or
 // once per held column on an engine worker, and is shared by every
 // tree) but the build cost is reported alongside so nothing hides.
-// Emits a one-line JSON summary (bench=split) after the table; check in
-// as BENCH_split.json.
+// A categorical case on the allstate-like shape (14 categorical and 13
+// numeric columns, regression, 5% missing cells) times the categorical
+// split kernel at the root both ways — the exact kernel over the raw
+// category values and the histogram path over identity codes — in ns
+// per row-column, plus one serial histogram-mode tree over every
+// column. Emits a one-line JSON summary (bench=split, with the host's
+// core count, CPU model and SIMD level) after the tables; check in as
+// BENCH_split.json.
 //
 // Flags: --quick (smaller sizes), --max-bins=N (default 255).
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -192,6 +200,107 @@ KernelResult RunKernelCase(TaskKind kind, size_t rows, int max_bins,
   return r;
 }
 
+// Categorical split kernel on the allstate-like table (the shape of
+// the reg_hist_tcp_fleet benchmark workload).
+struct CategoricalResult {
+  size_t rows = 0;
+  int categorical_columns = 0;
+  double exact_ns = 0.0;  // per row-column, exact kernel over values
+  double hist_ns = 0.0;   // per row-column, fused build + scan over codes
+  bool same_split = false;
+  double tree_ms = 0.0;   // one serial histogram tree, all columns
+};
+
+CategoricalResult RunCategoricalCase(size_t rows, int iters) {
+  DatasetProfile profile;
+  profile.name = "allstate_like";
+  profile.rows = rows;
+  profile.num_numeric = 13;
+  profile.num_categorical = 14;
+  profile.num_classes = 0;
+  profile.missing_fraction = 0.05;
+  profile.concept_depth = 8;
+  DataTable table = GenerateTable(profile, /*seed=*/7);
+  std::shared_ptr<const BinnedTable> binned = BinnedTable::Build(table, 255);
+  const SplitContext ctx{TaskKind::kRegression, Impurity::kVariance, 0};
+  const Column& target = *table.target();
+
+  std::vector<int> cat_cols;
+  std::vector<const BinnedColumn*> codes;
+  for (int c = profile.num_numeric; c < profile.num_features(); ++c) {
+    cat_cols.push_back(c);
+    codes.push_back(binned->column(c));
+  }
+  CategoricalResult r;
+  r.rows = rows;
+  r.categorical_columns = static_cast<int>(cat_cols.size());
+
+  std::vector<SplitOutcome> exact(cat_cols.size());
+  std::vector<SplitOutcome> hist(cat_cols.size());
+  NodeHists hists;
+  double exact_s = 0.0;
+  double hist_s = 0.0;
+  for (int i = 0; i < iters; ++i) {
+    WallTimer t;
+    for (size_t k = 0; k < cat_cols.size(); ++k) {
+      exact[k] = FindBestSplit(*table.column(cat_cols[k]), cat_cols[k],
+                               target, ctx, nullptr, rows);
+    }
+    const double e = t.Seconds();
+    t.Reset();
+    hists.assign(codes.size(), NodeHistogram());
+    NodeHistogram::BuildMany(codes.data(), codes.size(), target, ctx, nullptr,
+                             rows, hists.data());
+    for (size_t k = 0; k < cat_cols.size(); ++k) {
+      hist[k] = hists[k].BestSplit(*codes[k], cat_cols[k], ctx);
+    }
+    const double h = t.Seconds();
+    if (i == 0 || e < exact_s) exact_s = e;
+    if (i == 0 || h < hist_s) hist_s = h;
+  }
+  const double cells = static_cast<double>(rows * cat_cols.size());
+  r.exact_ns = exact_s * 1e9 / cells;
+  r.hist_ns = hist_s * 1e9 / cells;
+  r.same_split = true;
+  for (size_t k = 0; k < cat_cols.size(); ++k) {
+    BinaryWriter a;
+    BinaryWriter b;
+    exact[k].Serialize(&a);
+    hist[k].Serialize(&b);
+    r.same_split = r.same_split && a.buffer() == b.buffer();
+  }
+
+  TreeConfig cfg;
+  cfg.max_depth = 10;
+  cfg.min_leaf = 2;
+  cfg.impurity = Impurity::kVariance;
+  cfg.split_method = SplitMethod::kHistogram;
+  std::vector<int> all;
+  for (int c = 0; c < profile.num_features(); ++c) all.push_back(c);
+  WallTimer t;
+  TrainTreeOnTable(table, all, cfg, nullptr, binned.get());
+  r.tree_ms = t.Millis();
+  return r;
+}
+
+// The first "model name" line of /proc/cpuinfo, or "unknown".
+std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    std::string model = line.substr(colon + 1);
+    model.erase(0, model.find_first_not_of(' '));
+    for (char& ch : model) {
+      if (ch == '"' || ch == '\\') ch = ' ';
+    }
+    return model;
+  }
+  return "unknown";
+}
+
 }  // namespace
 
 int Main(int argc, char** argv) {
@@ -243,9 +352,39 @@ int Main(int argc, char** argv) {
   kernel_table.Print();
   std::printf("\n");
 
-  std::string json = "{\"bench\":\"split\",\"max_bins\":" +
+  // Categorical kernel, both ways, on the allstate-like shape.
+  const CategoricalResult cat = RunCategoricalCase(
+      options.quick ? 50000 : 150000, options.quick ? 3 : 7);
+  std::printf("Categorical split kernel (allstate-like, %zu rows, %d "
+              "categorical columns, regression, root node):\n",
+              cat.rows, cat.categorical_columns);
+  TablePrinter cat_table({"exact ns/row-col", "hist ns/row-col", "speedup",
+                          "same split", "serial hist tree (ms)"});
+  cat_table.AddRow({Fmt(cat.exact_ns, 2), Fmt(cat.hist_ns, 2),
+                    Fmt(cat.hist_ns > 0 ? cat.exact_ns / cat.hist_ns : 0.0,
+                        2) + "x",
+                    cat.same_split ? "yes" : "NO", Fmt(cat.tree_ms)});
+  cat_table.Print();
+  std::printf("\n");
+  if (!cat.same_split) {
+    std::printf("FATAL: categorical splits differ between the exact kernel "
+                "and the histogram path\n");
+    return 1;
+  }
+
+  std::string json = "{\"bench\":\"split\",\"cores\":" +
+                     std::to_string(std::thread::hardware_concurrency()) +
+                     ",\"cpu\":\"" + CpuModel() + "\",\"max_bins\":" +
                      std::to_string(options.max_bins) + ",\"simd\":\"" +
                      SimdLevelName(ActiveSimdLevel()) + "\"";
+  {
+    char cbuf[200];
+    std::snprintf(cbuf, sizeof(cbuf),
+                  ",\"cat_rows\":%zu,\"cat_exact_ns_per_row_col\":%.2f,"
+                  "\"cat_hist_ns_per_row_col\":%.2f,\"cat_tree_hist_ms\":%.1f",
+                  cat.rows, cat.exact_ns, cat.hist_ns, cat.tree_ms);
+    json += cbuf;
+  }
   for (const KernelResult& k : kernels) {
     char kbuf[200];
     std::snprintf(kbuf, sizeof(kbuf),

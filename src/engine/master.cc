@@ -327,6 +327,7 @@ void Master::SchedulePlan(const Plan& plan) {
   entry->parent_task = plan.parent_task;
   entry->side = plan.side;
   entry->et_retries = plan.et_retries;
+  entry->node_stats = plan.stats;
 
   const bool is_subtree = plan.n_rows <= config_.tau_d;
   TS_LOG(kDebug) << "master: schedule task " << task_id << " tree "
@@ -360,6 +361,7 @@ void Master::SchedulePlan(const Plan& plan) {
     msg.columns = assign.columns;
     msg.column_servers = assign.servers;
     msg.ctx = ctx;
+    msg.node_stats = plan.stats;
     SendToWorker(assign.key_worker, MsgType::kSubtreeTaskPlan, msg.Encode(),
                  task_id);
   } else {
@@ -481,9 +483,9 @@ void Master::HandleColumnResponse(const std::string& payload) {
                     << resp.task_id << " from w" << resp.worker;
       return;
     }
-    if (!entry->have_stats) {
-      entry->node_stats = resp.node_stats;
-      entry->have_stats = true;
+    // Only a root's responses carry statistics (all the same sum).
+    if (resp.node_stats.has_value()) {
+      entry->node_stats = std::move(resp.node_stats);
     }
     if (SplitBeats(resp.outcome, entry->best)) {
       entry->best = std::move(resp.outcome);
@@ -520,7 +522,8 @@ void Master::ProcessNodeCompletion(const EntryPtr& entry) {
     workers = entry->workers;
     best = entry->best;
     best_worker = entry->best_worker;
-    stats = entry->node_stats;
+    TS_CHECK(entry->node_stats.has_value()) << "node without statistics";
+    stats = *entry->node_stats;
     et_retries = entry->et_retries;
     parent_task = entry->parent_task;
   }
@@ -589,6 +592,7 @@ void Master::ProcessNodeCompletion(const EntryPtr& entry) {
             child.parent_worker = best_worker;
             child.parent_task = task_id;
             child.side = static_cast<uint8_t>(side);
+            child.stats = *child_stats[side];
             InsertPlan(child);
           }
         }
@@ -626,6 +630,7 @@ void Master::ProcessNodeCompletion(const EntryPtr& entry) {
       retry.parent_task = parent_task;
       retry.side = entry->side;
       retry.et_retries = et_retries + 1;
+      if (retry.parent_worker >= 0) retry.stats = stats;
       bplan_.PushFront(retry);
       break;
     }
@@ -973,6 +978,7 @@ void Master::HandleWorkerCrash(int worker) {
       p.parent_task = e->parent_task;
       p.side = e->side;
       p.et_retries = e->et_retries;
+      p.stats = e->parent_worker >= 0 ? e->node_stats : std::nullopt;
       replans.push_back(p);
       revoke_ids.push_back(id);
     }

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -198,6 +199,9 @@ class Master {
     uint64_t parent_task = 0;
     uint8_t side = 0;
     int et_retries = 0;  // extra-trees column resamples so far
+    /// The node's statistics from its parent's split outcome; absent
+    /// for a root, whose column tasks sum its rows.
+    std::optional<TargetStats> stats;
   };
 
   /// T_task entry: a task in flight, or completed but still tracked as
@@ -224,8 +228,8 @@ class Master {
     std::set<int> responded;
     SplitOutcome best;
     int best_worker = -1;
-    TargetStats node_stats;
-    bool have_stats = false;
+    /// From the plan, or (a root) from its column-task responses.
+    std::optional<TargetStats> node_stats;
     LoadDelta delta;
     // Delegate bookkeeping after completion.
     bool completed = false;

@@ -53,6 +53,21 @@ Status ReadPlanHeader(BinaryReader* r, Plan* p) {
   return Status::OK();
 }
 
+void WriteOptionalStats(const std::optional<TargetStats>& stats,
+                        BinaryWriter* w) {
+  w->Write(static_cast<uint8_t>(stats.has_value() ? 1 : 0));
+  if (stats.has_value()) stats->Serialize(w);
+}
+
+Status ReadOptionalStats(BinaryReader* r, std::optional<TargetStats>* out) {
+  uint8_t present;
+  TS_RETURN_IF_ERROR(r->Read(&present));
+  if (present > 1) return Status::Corruption("bad node-stats flag");
+  out->reset();
+  if (present == 0) return Status::OK();
+  return TargetStats::Deserialize(r, &out->emplace());
+}
+
 }  // namespace
 
 std::string ColumnTaskPlan::Encode() const {
@@ -78,6 +93,7 @@ std::string SubtreeTaskPlan::Encode() const {
   w.WriteVector(columns);
   w.WriteVector(column_servers);
   ctx.Serialize(&w);
+  WriteOptionalStats(node_stats, &w);
   return w.Release();
 }
 
@@ -88,14 +104,14 @@ Status SubtreeTaskPlan::Decode(const std::string& payload,
   TS_RETURN_IF_ERROR(r.ReadVector(&out->columns));
   TS_RETURN_IF_ERROR(r.ReadVector(&out->column_servers));
   TS_RETURN_IF_ERROR(TaskContext::Deserialize(&r, &out->ctx));
-  return Status::OK();
+  return ReadOptionalStats(&r, &out->node_stats);
 }
 
 std::string ColumnTaskResponse::Encode() const {
   BinaryWriter w;
   w.Write(task_id);
   w.Write(worker);
-  node_stats.Serialize(&w);
+  WriteOptionalStats(node_stats, &w);
   outcome.Serialize(&w);
   return w.Release();
 }
@@ -105,7 +121,7 @@ Status ColumnTaskResponse::Decode(const std::string& payload,
   BinaryReader r(payload);
   TS_RETURN_IF_ERROR(r.Read(&out->task_id));
   TS_RETURN_IF_ERROR(r.Read(&out->worker));
-  TS_RETURN_IF_ERROR(TargetStats::Deserialize(&r, &out->node_stats));
+  TS_RETURN_IF_ERROR(ReadOptionalStats(&r, &out->node_stats));
   TS_RETURN_IF_ERROR(SplitOutcome::Deserialize(&r, &out->outcome));
   return Status::OK();
 }
@@ -253,6 +269,7 @@ constexpr uint8_t kWireNumeric = 0;
 constexpr uint8_t kWireCategoricalRaw = 1;
 constexpr uint8_t kWireCategoricalPacked = 2;
 constexpr uint8_t kWireBinned = 3;
+constexpr uint8_t kWireCategoryCodes = 4;
 
 int BitsFor(uint32_t distinct) {
   int bits = 1;
@@ -363,21 +380,23 @@ Status ReadColumnBody(uint8_t tag, BinaryReader* r, ColumnPtr* out) {
   return Status::OK();
 }
 
-template <typename Code>
-Status ReadBinnedCodes(BinaryReader* r, std::vector<double> boundaries,
-                       std::shared_ptr<const BinnedColumn>* out) {
+// Reads a code vector of width `Code` and hands it to `make` (one of
+// BinnedColumn's validating factories).
+template <typename Code, typename Make>
+Status ReadCodes(BinaryReader* r, Make make,
+                 std::shared_ptr<const BinnedColumn>* out) {
   std::vector<Code> codes;
   TS_RETURN_IF_ERROR(r->ReadVector(&codes));
-  auto column =
-      BinnedColumn::FromCodes(std::move(boundaries), std::move(codes));
+  auto column = make(std::move(codes));
   if (!column.ok()) return column.status();
   *out = std::move(column).value();
   return Status::OK();
 }
 
 // Either form of a gathered column: values as SerializeColumn writes
-// them, or bin codes under their own tag (boundaries, then uint8 or
-// uint16 codes as the bin count implies).
+// them, or codes under their own tag. Bin codes carry the boundaries,
+// then uint8 or uint16 codes as the bin count implies; category codes
+// carry the cardinality and the code width in bytes, then the codes.
 void SerializeGathered(const GatheredColumn& column, BinaryWriter* w,
                        bool compress) {
   if (column.values != nullptr) {
@@ -385,8 +404,14 @@ void SerializeGathered(const GatheredColumn& column, BinaryWriter* w,
     return;
   }
   const BinnedColumn& codes = *column.codes;
-  w->Write(kWireBinned);
-  w->WriteVector(codes.boundaries());
+  if (codes.categorical()) {
+    w->Write(kWireCategoryCodes);
+    w->Write(static_cast<int32_t>(codes.num_bins()));
+    w->Write(static_cast<uint8_t>(codes.wide() ? 2 : 1));
+  } else {
+    w->Write(kWireBinned);
+    w->WriteVector(codes.boundaries());
+  }
   if (codes.wide()) {
     w->WriteArray(codes.codes16_data(), codes.num_rows());
   } else {
@@ -397,14 +422,30 @@ void SerializeGathered(const GatheredColumn& column, BinaryWriter* w,
 Status DeserializeGathered(BinaryReader* r, GatheredColumn* out) {
   uint8_t tag;
   TS_RETURN_IF_ERROR(r->Read(&tag));
+  if (tag == kWireCategoryCodes) {
+    int32_t cardinality;
+    uint8_t width;
+    TS_RETURN_IF_ERROR(r->Read(&cardinality));
+    TS_RETURN_IF_ERROR(r->Read(&width));
+    // FromCategoryCodes checks the width against the cardinality.
+    auto make = [cardinality](auto codes) {
+      return BinnedColumn::FromCategoryCodes(cardinality, std::move(codes));
+    };
+    if (width == 1) return ReadCodes<uint8_t>(r, make, &out->codes);
+    if (width == 2) return ReadCodes<uint16_t>(r, make, &out->codes);
+    return Status::Corruption("category codes: bad code width");
+  }
   if (tag != kWireBinned) return ReadColumnBody(tag, r, &out->values);
   std::vector<double> boundaries;
   TS_RETURN_IF_ERROR(r->ReadVector(&boundaries));
   // The bin count fixes the code width; FromCodes checks the rest.
+  auto make = [&boundaries](auto codes) {
+    return BinnedColumn::FromCodes(std::move(boundaries), std::move(codes));
+  };
   if (BinnedColumn::WideFor(boundaries.size())) {
-    return ReadBinnedCodes<uint16_t>(r, std::move(boundaries), &out->codes);
+    return ReadCodes<uint16_t>(r, make, &out->codes);
   }
-  return ReadBinnedCodes<uint8_t>(r, std::move(boundaries), &out->codes);
+  return ReadCodes<uint8_t>(r, make, &out->codes);
 }
 
 }  // namespace

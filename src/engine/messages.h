@@ -2,6 +2,7 @@
 #define TREESERVER_ENGINE_MESSAGES_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -85,6 +86,8 @@ struct ColumnTaskPlan {
 /// Plan for a subtree-task (Fig. 3(b)): the key worker gathers D_x and
 /// builds Δ_x locally. `column_servers[i]` is the worker that serves
 /// `columns[i]`, as chosen by the master's load model (Section VI).
+/// `node_stats` are the subtree root's statistics as its parent's split
+/// outcome reported them; absent when the subtree is a whole tree.
 struct SubtreeTaskPlan {
   uint64_t task_id = 0;
   uint32_t tree_id = 0;
@@ -97,18 +100,20 @@ struct SubtreeTaskPlan {
   std::vector<int32_t> columns;
   std::vector<int32_t> column_servers;
   TaskContext ctx;
+  std::optional<TargetStats> node_stats;
 
   std::string Encode() const;
   static Status Decode(const std::string& payload, SubtreeTaskPlan* out);
 };
 
-/// A worker's answer to a column-task plan: the node statistics (for
-/// leaf decisions and node predictions at the master) plus the best
-/// split over the worker's assigned columns (possibly invalid).
+/// A worker's answer to a column-task plan: the best split over the
+/// worker's assigned columns (possibly invalid), plus, for a tree root
+/// only, the root's statistics summed over its rows. The master takes
+/// every other node's statistics from its parent's split outcome.
 struct ColumnTaskResponse {
   uint64_t task_id = 0;
   int32_t worker = -1;
-  TargetStats node_stats;
+  std::optional<TargetStats> node_stats;
   SplitOutcome outcome;
 
   std::string Encode() const;
@@ -167,8 +172,9 @@ struct IxResponse {
 /// Key worker -> serving worker: please send me the D_x values of
 /// these columns. The serving worker fetches I_x itself from the
 /// parent worker (arrow 3 in Fig. 9(a)). In histogram mode
-/// (`split_method` kHistogram) numeric columns come back as the
-/// holder's bin codes under `max_bins`; extra-trees subtrees ask for
+/// (`split_method` kHistogram) feature columns come back as the
+/// holder's codes: bin codes under `max_bins` for numeric columns,
+/// identity codes for categorical ones; extra-trees subtrees ask for
 /// kExact, since their random splits need the values.
 struct ColumnDataRequest {
   uint64_t task_id = 0;
@@ -186,9 +192,10 @@ struct ColumnDataRequest {
   static Status Decode(const std::string& payload, ColumnDataRequest* out);
 };
 
-/// One column of a subtree task's D_x: the gathered values, or (a
-/// numeric column in histogram mode) the holder's bin codes of the same
-/// rows with the column's boundaries. Exactly one member is set.
+/// One column of a subtree task's D_x: the gathered values, or (in
+/// histogram mode) the holder's codes of the same rows — a numeric
+/// column's bin codes with its boundaries, a categorical column's
+/// identity codes with its cardinality. Exactly one member is set.
 struct GatheredColumn {
   ColumnPtr values;
   std::shared_ptr<const BinnedColumn> codes;

@@ -592,7 +592,8 @@ std::shared_ptr<const BinnedColumn> Worker::BinnedColumnOf(int32_t col,
                                                            int max_bins) {
   const ColumnPtr& column = table_->column(col);
   if (col == table_->schema().target_index() ||
-      column->type() != DataType::kNumeric) {
+      (column->type() == DataType::kCategorical &&
+       column->cardinality() > BinnedColumn::kMaxBins)) {
     return nullptr;
   }
   std::shared_ptr<BinSlot> slot;
@@ -693,7 +694,12 @@ void Worker::ComputeColumnTask(const TaskPtr& task) {
   ColumnTaskResponse resp;
   resp.task_id = plan.task_id;
   resp.worker = id_;
-  resp.node_stats = ComputeTargetStats(*target, ctx, ix->data(), ix->size());
+  if (plan.parent_worker < 0) {
+    // Only a root sums its rows; the master has every other node's
+    // statistics from its parent's split outcome.
+    resp.node_stats =
+        ComputeTargetStats(*target, ctx, ix->data(), ix->size());
+  }
 
   if (plan.ctx.extra_trees != 0) {
     Rng rng(plan.ctx.rng_seed);
@@ -758,10 +764,10 @@ void Worker::ComputeSubtreeTask(const TaskPtr& task) {
   config.base_depth = plan.depth;
   config.split_method = static_cast<SplitMethod>(plan.ctx.split_method);
   config.max_bins = plan.ctx.max_bins;
-  // Histogram mode: every numeric column of D_x is bin codes, gathered
-  // by its holder (here for local columns, remotely for the rest); row
-  // i of D_x is table row (*ix)[i] on every server, since each pulled
-  // the same I_x from the same delegate.
+  // Histogram mode: every feature column of D_x is codes (bin codes or
+  // category codes), gathered by its holder (here for local columns,
+  // remotely for the rest); row i of D_x is table row (*ix)[i] on every
+  // server, since each pulled the same I_x from the same delegate.
   const bool use_codes = config.split_method == SplitMethod::kHistogram &&
                          !config.extra_trees;
 
@@ -799,8 +805,10 @@ void Worker::ComputeSubtreeTask(const TaskPtr& task) {
   std::vector<uint32_t> rows(ix->size());
   std::iota(rows.begin(), rows.end(), 0u);
   Rng rng(plan.ctx.rng_seed);
-  TreeModel subtree = TrainTree(gathered, std::move(rows), candidates, config,
-                                &rng, bound.get());
+  TreeModel subtree =
+      TrainTree(gathered, std::move(rows), candidates, config, &rng,
+                bound.get(), /*ranked=*/nullptr,
+                plan.node_stats.has_value() ? &*plan.node_stats : nullptr);
 
   SubtreeResult result;
   result.task_id = plan.task_id;

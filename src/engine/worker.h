@@ -32,7 +32,8 @@ struct WorkerStats {
   /// Aggregate comper busy time so far, in seconds.
   double busy_seconds = 0.0;
   /// Feature columns this worker has binned (under any bin budget),
-  /// ascending. Only a column's holders bin it.
+  /// numeric and categorical, ascending. Only a column's holders bin
+  /// it.
   std::vector<int32_t> binned_columns;
   /// Feature columns this worker has ranked for exact column tasks,
   /// ascending. Only a column's holders rank it.
@@ -169,8 +170,9 @@ class Worker {
   /// Moves a subtree task to B_task once I_x and every remote column
   /// are here. Caller holds task->mu.
   void CheckSubtreeReady(const TaskPtr& task, uint64_t task_id);
-  /// D_x rows `ix` of local column `col`: its bin codes when
-  /// `use_codes` and the column is binnable, else its values.
+  /// D_x rows `ix` of local column `col`: its codes (bin codes or
+  /// category codes) when `use_codes` and the column is binnable, else
+  /// its values.
   GatheredColumn GatherLocal(int32_t col, const std::vector<uint32_t>& ix,
                              bool use_codes, int max_bins);
 
@@ -179,10 +181,12 @@ class Worker {
   void RequestIx(uint64_t parent_task, int parent_worker, uint8_t side,
                  uint64_t requester_task);
 
-  /// Bin index of feature column `col` under `max_bins`, built on
-  /// first use and shared by every later task; nullptr for categorical
-  /// columns and the target. Only column tasks and gathers of local
-  /// columns ask, so a worker bins exactly the columns it holds.
+  /// Bin index of feature column `col` under `max_bins` (identity codes
+  /// for a categorical column), built on first use and shared by every
+  /// later task; nullptr for the target and for a categorical column of
+  /// more than BinnedColumn::kMaxBins categories. Only column tasks and
+  /// gathers of local columns ask, so a worker bins exactly the columns
+  /// it holds.
   std::shared_ptr<const BinnedColumn> BinnedColumnOf(int32_t col,
                                                      int max_bins);
   /// Histogram split of one column for a column task: derives the

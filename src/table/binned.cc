@@ -93,6 +93,19 @@ Status CheckBoundaries(const std::vector<double>& upper, bool wide) {
   return Status::OK();
 }
 
+// Identity codes of a categorical column: the category, or
+// `cardinality` for a missing cell.
+template <typename Code>
+void AssignCategoryCodes(const std::vector<int32_t>& cats, int32_t cardinality,
+                         std::vector<Code>* codes) {
+  codes->resize(cats.size());
+  Code* out = codes->data();
+  for (size_t i = 0; i < cats.size(); ++i) {
+    const int32_t c = cats[i];
+    out[i] = static_cast<Code>(c == kMissingCategory ? cardinality : c);
+  }
+}
+
 template <typename Code>
 Status CheckCodes(const std::vector<Code>& codes, size_t num_bins) {
   Code max_code = 0;
@@ -118,8 +131,20 @@ size_t BinnedColumn::ByteSize() const {
 
 std::unique_ptr<BinnedColumn> BinnedColumn::Build(const Column& column,
                                                   int max_bins) {
-  TS_CHECK(column.type() == DataType::kNumeric)
-      << "only numeric columns are binned";
+  if (column.type() == DataType::kCategorical) {
+    const int32_t card = column.cardinality();
+    if (card > kMaxBins) return nullptr;
+    auto out = std::unique_ptr<BinnedColumn>(new BinnedColumn());
+    out->num_bins_ = card;
+    out->wide_ = WideFor(static_cast<size_t>(card));
+    out->categorical_ = true;
+    if (out->wide_) {
+      AssignCategoryCodes(column.categorical_codes(), card, &out->codes16_);
+    } else {
+      AssignCategoryCodes(column.categorical_codes(), card, &out->codes8_);
+    }
+    return out;
+  }
   max_bins = ClampBins(max_bins);
   const std::vector<double>& values = column.numeric_values();
 
@@ -204,12 +229,41 @@ template Result<std::unique_ptr<BinnedColumn>> BinnedColumn::FromCodes(
 template Result<std::unique_ptr<BinnedColumn>> BinnedColumn::FromCodes(
     std::vector<double>, std::vector<uint16_t>);
 
+template <typename Code>
+Result<std::unique_ptr<BinnedColumn>> BinnedColumn::FromCategoryCodes(
+    int32_t cardinality, std::vector<Code> codes) {
+  constexpr bool kWide = std::is_same_v<Code, uint16_t>;
+  if (cardinality < 0 || cardinality > kMaxBins) {
+    return Status::Corruption("category codes: cardinality out of range");
+  }
+  if (WideFor(static_cast<size_t>(cardinality)) != kWide) {
+    return Status::Corruption("category codes: code width does not match");
+  }
+  TS_RETURN_IF_ERROR(CheckCodes(codes, static_cast<size_t>(cardinality)));
+  auto out = std::unique_ptr<BinnedColumn>(new BinnedColumn());
+  out->num_bins_ = cardinality;
+  out->wide_ = kWide;
+  out->categorical_ = true;
+  if constexpr (kWide) {
+    out->codes16_ = std::move(codes);
+  } else {
+    out->codes8_ = std::move(codes);
+  }
+  return out;
+}
+
+template Result<std::unique_ptr<BinnedColumn>>
+BinnedColumn::FromCategoryCodes(int32_t, std::vector<uint8_t>);
+template Result<std::unique_ptr<BinnedColumn>>
+BinnedColumn::FromCategoryCodes(int32_t, std::vector<uint16_t>);
+
 std::unique_ptr<BinnedColumn> BinnedColumn::Gather(
     const std::vector<uint32_t>& rows) const {
   auto out = std::unique_ptr<BinnedColumn>(new BinnedColumn());
   out->num_bins_ = num_bins_;
   out->upper_ = upper_;  // shared column boundaries
   out->wide_ = wide_;
+  out->categorical_ = categorical_;
   if (wide_) {
     out->codes16_ = GatherCodes(codes16_, rows);
   } else {
@@ -313,8 +367,7 @@ std::shared_ptr<const BinnedTable> BinnedTable::Build(const DataTable& table,
   for (int c = 0; c < table.num_columns(); ++c) {
     if (c == target) continue;
     const ColumnPtr& col = table.column(c);
-    if (col == nullptr || col->type() != DataType::kNumeric) continue;
-    columns[c] = BinnedColumn::Build(*col, max_bins);
+    if (col != nullptr) columns[c] = BinnedColumn::Build(*col, max_bins);
   }
   return FromColumns(std::move(columns));
 }

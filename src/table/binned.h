@@ -12,34 +12,46 @@
 
 namespace treeserver {
 
-/// Quantile-binned view of one numeric column.
+/// Bin-code view of one feature column, the index every histogram
+/// split reads.
 ///
-/// Every non-missing value is mapped to a bin code in [0, num_bins);
-/// missing values map to the dedicated missing bin `num_bins`. Bin b
-/// covers the value range (upper(b-1), upper(b)], where upper(b) is the
-/// largest value of the column that falls into bin b — an actual data
-/// value, so histogram split thresholds stay real observations exactly
-/// like exact-mode thresholds. When the column has at most `max_bins`
-/// distinct values each distinct value gets its own bin and binned
-/// split finding degenerates to the exact algorithm.
+/// A numeric column is quantile-binned: every non-missing value maps to
+/// a bin code in [0, num_bins), and bin b covers the value range
+/// (upper(b-1), upper(b)], where upper(b) is the largest value of the
+/// column that falls into bin b — an actual data value, so histogram
+/// split thresholds stay real observations exactly like exact-mode
+/// thresholds. When the column has at most `max_bins` distinct values
+/// each distinct value gets its own bin and binned split finding
+/// degenerates to the exact algorithm.
 ///
-/// Codes are stored as uint8 when num_bins + 1 (the missing bin) fits
-/// in a byte, uint16 otherwise. Boundaries are shared (shared_ptr) so a
-/// gathered subset reuses the full-column boundaries.
+/// A categorical column holds identity codes: the code of a cell is its
+/// category, num_bins() is the cardinality, and no boundaries are kept.
+/// Its histogram is exactly the per-category table the exact
+/// one-vs-rest and Breiman scans read, so both split methods agree.
+///
+/// Either way missing cells map to the dedicated missing bin
+/// `num_bins`, and codes are stored as uint8 when num_bins + 1 fits in
+/// a byte, uint16 otherwise. Numeric boundaries are shared (shared_ptr)
+/// so a gathered subset reuses the full-column boundaries.
 class BinnedColumn {
  public:
   /// Largest bin budget; a column never has more bins than this.
   static constexpr int kMaxBins = 65535;
 
-  /// Builds bins + codes from a numeric column in linear time: an LSD
-  /// radix sort of order-preserving integer keys of the non-missing
-  /// values, then a branchless search of each value over the
-  /// boundaries. Boundaries and codes are those of a comparison sort
-  /// plus one lower_bound per value, with one refinement: −0.0 and
-  /// +0.0 are the same key, so a zero boundary is always +0.0 (a
+  /// Builds the codes of a feature column in linear time.
+  ///
+  /// Numeric: an LSD radix sort of order-preserving integer keys of the
+  /// non-missing values, then a branchless search of each value over
+  /// the boundaries. Boundaries and codes are those of a comparison
+  /// sort plus one lower_bound per value, with one refinement: −0.0
+  /// and +0.0 are the same key, so a zero boundary is always +0.0 (a
   /// comparison sort leaves the two in unspecified order). Codes do not
   /// depend on the sign, because −0.0 <= +0.0 and +0.0 <= −0.0.
   /// `max_bins` is clamped to [2, kMaxBins].
+  ///
+  /// Categorical: one copy of the category codes, ignoring `max_bins`.
+  /// Returns nullptr for a column of more than kMaxBins categories,
+  /// which no code width holds; it stays on the exact kernel.
   static std::unique_ptr<BinnedColumn> Build(const Column& column,
                                              int max_bins);
 
@@ -53,6 +65,15 @@ class BinnedColumn {
   static Result<std::unique_ptr<BinnedColumn>> FromCodes(
       std::vector<double> boundaries, std::vector<Code> codes);
 
+  /// Reassembles a gathered categorical column from its cardinality and
+  /// identity codes. Returns Corruption unless 0 <= cardinality <=
+  /// kMaxBins, `Code` is the width WideFor(cardinality) implies and
+  /// every code is at most cardinality (the missing code). Defined for
+  /// uint8_t and uint16_t.
+  template <typename Code>
+  static Result<std::unique_ptr<BinnedColumn>> FromCategoryCodes(
+      int32_t cardinality, std::vector<Code> codes);
+
   /// Whether a column of `num_bins` value bins stores uint16 codes.
   static bool WideFor(size_t num_bins) { return num_bins + 1 > 256; }
 
@@ -60,7 +81,10 @@ class BinnedColumn {
   /// code_at(rows[i]). Boundaries are shared, not copied.
   std::unique_ptr<BinnedColumn> Gather(const std::vector<uint32_t>& rows) const;
 
-  /// Value bins (excluding the missing bin).
+  /// Identity codes of a categorical column (no boundaries).
+  bool categorical() const { return categorical_; }
+  /// Value bins (excluding the missing bin); the cardinality of a
+  /// categorical column.
   int num_bins() const { return num_bins_; }
   /// Code used for missing values; also the histogram slot count is
   /// missing_code() + 1.
@@ -84,6 +108,7 @@ class BinnedColumn {
   }
 
   /// Largest column value in bin b — the split threshold "v <= upper".
+  /// Numeric columns only, like boundaries() and CodeOf().
   double upper(int bin) const { return (*upper_)[bin]; }
   /// All bin upper bounds; one vector shared by a column and its
   /// gathered subsets.
@@ -102,21 +127,24 @@ class BinnedColumn {
 
   int num_bins_ = 0;
   bool wide_ = false;
-  std::shared_ptr<const std::vector<double>> upper_;
+  bool categorical_ = false;
+  std::shared_ptr<const std::vector<double>> upper_;  // null if categorical
   std::vector<uint8_t> codes8_;
   std::vector<uint16_t> codes16_;
 };
 
-/// Per-table bin index: one BinnedColumn per numeric feature column.
-/// The serial trainer builds one per job and shares it read-only across
-/// the job's trees; an engine worker instead bins each column it holds
-/// on first use and assembles a subtree task's view from gathered codes
-/// (FromColumns). Categorical columns and the target are not binned
-/// (categorical split finding is already a per-category histogram).
+/// Per-table bin index: one BinnedColumn per feature column, numeric
+/// (quantile bins) and categorical (identity codes) alike, so one
+/// histogram path serves every feature in histogram mode. The serial
+/// trainer builds one per job and shares it read-only across the job's
+/// trees; an engine worker instead bins each column it holds on first
+/// use and assembles a subtree task's view from gathered codes
+/// (FromColumns). The target is not binned, nor is a categorical
+/// column of more than kMaxBins categories.
 class BinnedTable {
  public:
-  /// Bins every numeric feature column of `table` (each in linear time,
-  /// see BinnedColumn::Build).
+  /// Bins every feature column of `table` (each in linear time, see
+  /// BinnedColumn::Build).
   static std::shared_ptr<const BinnedTable> Build(const DataTable& table,
                                                   int max_bins);
 
@@ -126,7 +154,8 @@ class BinnedTable {
       std::vector<std::shared_ptr<const BinnedColumn>> columns);
 
   /// The binned view of column `i`, or nullptr when the column is not
-  /// binned (categorical, target, or absent from a gathered subset).
+  /// binned (target, too many categories, or absent from a gathered
+  /// subset).
   const BinnedColumn* column(int i) const {
     return i >= 0 && i < static_cast<int>(columns_.size())
                ? columns_[i].get()

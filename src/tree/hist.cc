@@ -132,6 +132,41 @@ void NodeHistogram::BuildMany(const BinnedColumn* const* cols, size_t num_cols,
   run_group(uint16_t{0}, wide);
 }
 
+NodeHistogram NodeHistogram::BuildCategorical(const Column& feature,
+                                              const Column& target,
+                                              const SplitContext& ctx,
+                                              const uint32_t* rows,
+                                              size_t n) {
+  const int32_t card = feature.cardinality();
+  const int32_t* cats = feature.categorical_codes().data();
+  auto slot_of = [&](size_t i) -> size_t {
+    const int32_t c = cats[rows ? rows[i] : i];
+    return static_cast<size_t>(c == kMissingCategory ? card : c);
+  };
+  NodeHistogram h;
+  h.slots_ = card + 1;
+  if (ctx.kind == TaskKind::kClassification) {
+    const int c = ctx.num_classes;
+    const int32_t* labels = target.categorical_codes().data();
+    h.num_classes_ = c;
+    h.cls_.assign(static_cast<size_t>(h.slots_) * c, 0);
+    for (size_t i = 0; i < n; ++i) {
+      h.cls_[slot_of(i) * c + labels[rows ? rows[i] : i]]++;
+    }
+    return h;
+  }
+  const double* y = target.numeric_values().data();
+  h.reg_.assign(h.slots_, HistRegBin{});
+  for (size_t i = 0; i < n; ++i) {
+    HistRegBin& rb = h.reg_[slot_of(i)];
+    const double v = y[rows ? rows[i] : i];
+    ++rb.n;
+    rb.sum += v;
+    rb.sum_sq += v * v;
+  }
+  return h;
+}
+
 NodeHistogram NodeHistogram::Subtract(const NodeHistogram& parent,
                                       const NodeHistogram& child) {
   TS_CHECK(parent.CompatibleWith(child)) << "histogram shape mismatch";
@@ -164,6 +199,7 @@ SplitOutcome NodeHistogram::BestSplit(const BinnedColumn& binned,
                                       int column_index,
                                       const SplitContext& ctx) const {
   TS_DCHECK(slots_ == binned.missing_code() + 1);
+  if (binned.categorical()) return BestCategoricalSplit(column_index, ctx);
   SplitOutcome out;
   const int num_value_bins = slots_ - 1;
 
@@ -279,6 +315,138 @@ SplitOutcome NodeHistogram::BestSplit(const BinnedColumn& binned,
   out.condition.column = column_index;
   out.condition.type = DataType::kNumeric;
   out.condition.threshold = binned.upper(best_bin);
+  FinishSplitOutcome(ctx, missing, &out);
+  return out;
+}
+
+namespace {
+
+RegStats RegStatsOf(const HistRegBin& b) {
+  RegStats s;
+  s.n = b.n;
+  s.sum = b.sum;
+  s.sum_sq = b.sum_sq;
+  return s;
+}
+
+}  // namespace
+
+SplitOutcome NodeHistogram::BestCategoricalSplit(
+    int column_index, const SplitContext& ctx) const {
+  SplitOutcome out;
+  const int card = slots_ - 1;
+  std::vector<int32_t> seen;  // categories present at the node, ascending
+
+  if (ctx.kind == TaskKind::kClassification) {
+    // Case 3: restrict |S_l| = 1 and score the one-vs-rest splits.
+    const int c = num_classes_;
+    auto counts = [&](int b) { return &cls_[static_cast<size_t>(b) * c]; };
+    TargetStats missing = TargetStats::Classification(c);
+    ClassStats total(c);
+    for (int j = 0; j < c; ++j) {
+      missing.cls.counts[j] = counts(card)[j];
+      missing.cls.n += counts(card)[j];
+    }
+    for (int b = 0; b < card; ++b) {
+      int64_t bn = 0;
+      for (int j = 0; j < c; ++j) {
+        total.counts[j] += counts(b)[j];
+        bn += counts(b)[j];
+      }
+      total.n += bn;
+      if (bn > 0) seen.push_back(b);
+    }
+    if (total.n < 2 || seen.size() < 2) return out;
+
+    ClassStats cat(c);
+    ClassStats rest(c);
+    double best_score = std::numeric_limits<double>::infinity();
+    int32_t best_cat = -1;
+    const double total_n = static_cast<double>(total.n);
+    for (int32_t b : seen) {
+      cat.n = 0;
+      for (int j = 0; j < c; ++j) {
+        cat.counts[j] = counts(b)[j];
+        cat.n += cat.counts[j];
+        rest.counts[j] = total.counts[j] - cat.counts[j];
+      }
+      rest.n = total.n - cat.n;
+      double score = (static_cast<double>(cat.n) *
+                          cat.ImpurityValue(ctx.impurity) +
+                      static_cast<double>(rest.n) *
+                          rest.ImpurityValue(ctx.impurity)) /
+                     total_n;
+      if (score < best_score) {
+        best_score = score;
+        best_cat = b;
+      }
+    }
+    out.left_stats = TargetStats::Classification(c);
+    out.right_stats = TargetStats::Classification(c);
+    out.right_stats.cls = total;
+    for (int j = 0; j < c; ++j) {
+      const int64_t cnt = counts(best_cat)[j];
+      out.left_stats.cls.counts[j] = cnt;
+      out.left_stats.cls.n += cnt;
+      out.right_stats.cls.counts[j] -= cnt;
+    }
+    out.right_stats.cls.n -= out.left_stats.cls.n;
+    out.condition.left_categories = {best_cat};
+    out.condition.column = column_index;
+    out.condition.type = DataType::kCategorical;
+    out.condition.seen_categories = std::move(seen);
+    FinishSplitOutcome(ctx, missing, &out);
+    return out;
+  }
+
+  // Case 2 (Breiman et al.): sort the present categories by mean
+  // target; the optimal subset split is a prefix of that order.
+  TargetStats missing = TargetStats::Regression();
+  missing.reg = RegStatsOf(reg_[card]);
+  for (int b = 0; b < card; ++b) {
+    if (reg_[b].n > 0) seen.push_back(b);
+  }
+  if (seen.size() < 2) return out;
+  std::vector<int32_t> order = seen;
+  std::sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
+    return RegStatsOf(reg_[a]).Mean() < RegStatsOf(reg_[b]).Mean();
+  });
+  RegStats total;
+  for (int32_t b : seen) total.Merge(RegStatsOf(reg_[b]));
+
+  RegStats left;
+  RegStats right = total;
+  double best_score = std::numeric_limits<double>::infinity();
+  size_t best_prefix = 0;  // 0 = no candidate
+  const double total_n = static_cast<double>(total.n);
+  for (size_t i = 0; i + 1 < order.size(); ++i) {
+    const HistRegBin& rb = reg_[order[i]];
+    left.Merge(RegStatsOf(rb));
+    right.n -= rb.n;
+    right.sum -= rb.sum;
+    right.sum_sq -= rb.sum_sq;
+    double score = (static_cast<double>(left.n) * left.Variance() +
+                    static_cast<double>(right.n) * right.Variance()) /
+                   total_n;
+    if (score < best_score) {
+      best_score = score;
+      best_prefix = i + 1;
+    }
+  }
+  if (best_prefix == 0) return out;
+
+  out.left_stats = TargetStats::Regression();
+  out.right_stats = TargetStats::Regression();
+  for (size_t i = 0; i < order.size(); ++i) {
+    TargetStats& side = i < best_prefix ? out.left_stats : out.right_stats;
+    side.reg.Merge(RegStatsOf(reg_[order[i]]));
+  }
+  order.resize(best_prefix);
+  std::sort(order.begin(), order.end());
+  out.condition.left_categories = std::move(order);
+  out.condition.column = column_index;
+  out.condition.type = DataType::kCategorical;
+  out.condition.seen_categories = std::move(seen);
   FinishSplitOutcome(ctx, missing, &out);
   return out;
 }

@@ -8,6 +8,7 @@
 #include "common/metrics_registry.h"
 #include "table/binned.h"
 #include "table/radix_sort.h"
+#include "tree/hist.h"
 
 namespace treeserver {
 
@@ -171,18 +172,15 @@ namespace {
 // distinct values.
 // ---------------------------------------------------------------------
 
-// Thread-local scratch arena for the exact kernels: the key buffers and
-// per-category stat tables are reused across calls, so steady-state
-// split evaluation performs no heap allocation proportional to the node
-// size. Each comper thread owns one arena; kernels never nest.
+// Thread-local scratch arena for the exact numeric kernels: the key
+// buffers and class-count tables are reused across calls, so
+// steady-state split evaluation performs no heap allocation
+// proportional to the node size. Each comper thread owns one arena;
+// kernels never nest.
 struct ExactScratch {
   std::vector<uint64_t> keys;
   std::vector<uint64_t> keys_scratch;
   std::vector<double> ys;
-  std::vector<ClassStats> per_cat_cls;
-  std::vector<RegStats> per_cat_reg;
-  std::vector<int32_t> seen;
-  std::vector<int32_t> order;
   ClassStats left;
   ClassStats right;
   ClassStats total;
@@ -404,165 +402,6 @@ SplitOutcome NumericBestRegression(const Column& feature, const Rank* ranks,
   return out;
 }
 
-// ---------------------------------------------------------------------
-// Case 3 (Appendix B): categorical attribute, categorical target.
-// Restrict |S_l| = 1 and enumerate the O(|S_i|) one-vs-rest splits.
-// ---------------------------------------------------------------------
-
-SplitOutcome CategoricalClassification(const Column& feature, int column_index,
-                                       const Column& target,
-                                       const SplitContext& ctx,
-                                       const uint32_t* rows, size_t n) {
-  SplitOutcome out;
-  ExactScratch& s = Scratch();
-  const int32_t card = feature.cardinality();
-  std::vector<ClassStats>& per_cat = s.per_cat_cls;
-  if (per_cat.size() < static_cast<size_t>(card)) per_cat.resize(card);
-  for (int32_t c = 0; c < card; ++c) {
-    ResetClassStats(&per_cat[c], ctx.num_classes);
-  }
-  ResetClassStats(&s.total, ctx.num_classes);
-  ClassStats& total = s.total;
-  TargetStats missing = MakeStats(ctx);
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t row = rows ? rows[i] : static_cast<uint32_t>(i);
-    int32_t c = feature.category_at(row);
-    if (c == kMissingCategory) {
-      AddRow(&missing, target, row);
-    } else {
-      per_cat[c].Add(target.category_at(row));
-      total.Add(target.category_at(row));
-    }
-  }
-  if (total.n < 2) return out;
-
-  std::vector<int32_t>& seen = s.seen;
-  seen.clear();
-  for (int32_t c = 0; c < card; ++c) {
-    if (per_cat[c].n > 0) seen.push_back(c);
-  }
-  if (seen.size() < 2) return out;  // only one category present
-
-  double best_score = std::numeric_limits<double>::infinity();
-  int32_t best_cat = -1;
-  const double total_n = static_cast<double>(total.n);
-  ClassStats& rest = s.left;
-  for (int32_t c : seen) {
-    rest = total;
-    for (size_t j = 0; j < rest.counts.size(); ++j) {
-      rest.counts[j] -= per_cat[c].counts[j];
-    }
-    rest.n -= per_cat[c].n;
-    double score = (static_cast<double>(per_cat[c].n) *
-                        per_cat[c].ImpurityValue(ctx.impurity) +
-                    static_cast<double>(rest.n) *
-                        rest.ImpurityValue(ctx.impurity)) /
-                   total_n;
-    if (score < best_score) {
-      best_score = score;
-      best_cat = c;
-    }
-  }
-  TS_DCHECK(best_cat >= 0);
-
-  out.left_stats = MakeStats(ctx);
-  out.right_stats = MakeStats(ctx);
-  out.left_stats.cls = per_cat[best_cat];
-  out.right_stats.cls = total;
-  for (size_t j = 0; j < total.counts.size(); ++j) {
-    out.right_stats.cls.counts[j] -= per_cat[best_cat].counts[j];
-  }
-  out.right_stats.cls.n -= per_cat[best_cat].n;
-  out.condition.column = column_index;
-  out.condition.type = DataType::kCategorical;
-  out.condition.left_categories = {best_cat};
-  out.condition.seen_categories.assign(seen.begin(), seen.end());
-  FinishSplitOutcome(ctx, missing, &out);
-  return out;
-}
-
-// ---------------------------------------------------------------------
-// Case 2 (Appendix B, Breiman et al.): categorical attribute, numeric
-// target. Sort categories by mean target value; the optimal subset
-// split is a prefix of that order, so one pass over groups suffices.
-// ---------------------------------------------------------------------
-
-SplitOutcome CategoricalRegression(const Column& feature, int column_index,
-                                   const Column& target,
-                                   const SplitContext& ctx,
-                                   const uint32_t* rows, size_t n) {
-  SplitOutcome out;
-  ExactScratch& s = Scratch();
-  const int32_t card = feature.cardinality();
-  std::vector<RegStats>& per_cat = s.per_cat_reg;
-  per_cat.assign(card, RegStats());
-  TargetStats missing = MakeStats(ctx);
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t row = rows ? rows[i] : static_cast<uint32_t>(i);
-    int32_t c = feature.category_at(row);
-    if (c == kMissingCategory) {
-      AddRow(&missing, target, row);
-    } else {
-      per_cat[c].Add(target.numeric_at(row));
-    }
-  }
-
-  std::vector<int32_t>& seen = s.seen;
-  seen.clear();
-  for (int32_t c = 0; c < card; ++c) {
-    if (per_cat[c].n > 0) seen.push_back(c);
-  }
-  if (seen.size() < 2) return out;
-
-  std::vector<int32_t>& order = s.order;
-  order.assign(seen.begin(), seen.end());
-  std::sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
-    return per_cat[a].Mean() < per_cat[b].Mean();
-  });
-
-  RegStats total;
-  for (int32_t c : seen) total.Merge(per_cat[c]);
-
-  RegStats left;
-  RegStats right = total;
-  double best_score = std::numeric_limits<double>::infinity();
-  size_t best_prefix = 0;  // 0 = no candidate
-  const double total_n = static_cast<double>(total.n);
-  for (size_t i = 0; i + 1 < order.size(); ++i) {
-    left.Merge(per_cat[order[i]]);
-    right.n -= per_cat[order[i]].n;
-    right.sum -= per_cat[order[i]].sum;
-    right.sum_sq -= per_cat[order[i]].sum_sq;
-    double score = (static_cast<double>(left.n) * left.Variance() +
-                    static_cast<double>(right.n) * right.Variance()) /
-                   total_n;
-    if (score < best_score) {
-      best_score = score;
-      best_prefix = i + 1;
-    }
-  }
-  if (best_prefix == 0) return out;
-
-  std::vector<int32_t> left_cats(order.begin(), order.begin() + best_prefix);
-  std::sort(left_cats.begin(), left_cats.end());
-
-  out.left_stats = MakeStats(ctx);
-  out.right_stats = MakeStats(ctx);
-  for (size_t i = 0; i < order.size(); ++i) {
-    if (i < best_prefix) {
-      out.left_stats.reg.Merge(per_cat[order[i]]);
-    } else {
-      out.right_stats.reg.Merge(per_cat[order[i]]);
-    }
-  }
-  out.condition.column = column_index;
-  out.condition.type = DataType::kCategorical;
-  out.condition.left_categories = std::move(left_cats);
-  out.condition.seen_categories.assign(seen.begin(), seen.end());
-  FinishSplitOutcome(ctx, missing, &out);
-  return out;
-}
-
 }  // namespace
 
 TargetStats ComputeTargetStats(const Column& target, const SplitContext& ctx,
@@ -597,11 +436,10 @@ SplitOutcome FindBestSplit(const Column& feature, int column_index,
     return FindBestNumericSplit(feature, *RankedColumn::Build(feature),
                                 column_index, target, ctx, rows, n);
   }
-  return ctx.kind == TaskKind::kClassification
-             ? CategoricalClassification(feature, column_index, target, ctx,
-                                         rows, n)
-             : CategoricalRegression(feature, column_index, target, ctx, rows,
-                                     n);
+  // Cases 2 and 3 (Appendix B) scan a per-category histogram; the
+  // histogram split method runs the same scan over identity codes.
+  return NodeHistogram::BuildCategorical(feature, target, ctx, rows, n)
+      .BestCategoricalSplit(column_index, ctx);
 }
 
 SplitOutcome FindRandomSplit(const Column& feature, int column_index,

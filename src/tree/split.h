@@ -150,7 +150,9 @@ TargetStats ComputeTargetStats(const Column& target, const SplitContext& ctx,
 /// Finds the exact best split of one attribute over the given rows
 /// (Appendix B): one sorted pass for ordinal attributes, Breiman's
 /// sorted-group pass for categorical regression, and one-vs-rest
-/// enumeration for categorical classification. Rows with a missing
+/// enumeration for categorical classification; both categorical cases
+/// scan a per-category histogram (NodeHistogram::BuildCategorical and
+/// BestCategoricalSplit, tree/hist.h). Rows with a missing
 /// attribute value are excluded from scoring and routed to the larger
 /// child afterwards. A numeric feature is ranked inside the call (O(N)
 /// over the whole column); callers that split one column at many nodes

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <optional>
 
 #include "common/logging.h"
@@ -43,12 +44,33 @@ struct Frame {
   // from rows when (and if) the node is split".
   std::shared_ptr<NodeHists> hists;
   // The node's target statistics as its parent's split outcome
-  // reported them (missing rows routed); empty at the root.
-  std::optional<TargetStats> split_stats;
+  // reported them (missing rows routed).
+  TargetStats stats;
 };
 
-// Builds the per-column histograms of one node in a single O(n) pass
-// per binned column; unbinned (categorical) entries stay empty.
+// Whether every regression target sum over `rows` is exact in doubles:
+// integer targets with max|y|^2 * n < 2^53 keep each partial sum (and
+// sum of squares) an exactly represented integer, so a histogram
+// derived as parent - sibling is bit-identical to a direct build.
+// Classification counts are integers and always exact.
+bool ExactTargetSums(const Column& target, const SplitContext& ctx,
+                     const std::vector<uint32_t>& rows) {
+  if (ctx.kind == TaskKind::kClassification) return true;
+  const double* y = target.numeric_values().data();
+  double max_abs = 0.0;
+  for (uint32_t r : rows) {
+    const double v = y[r];
+    if (!(std::floor(v) == v)) return false;  // fraction, NaN or inf
+    max_abs = std::max(max_abs, std::fabs(v));
+  }
+  return max_abs * max_abs * static_cast<double>(rows.size()) < 0x1p53;
+}
+
+// Moves the rows of [begin, end) whose code `goes_left` accepts to the
+// front; see StablePartition.
+
+// Builds the per-column histograms of one node in one fused pass over
+// its rows; unbinned entries stay empty.
 std::shared_ptr<NodeHists> BuildNodeHists(const BinnedTable& binned,
                                           const Column& target,
                                           const std::vector<int>& candidates,
@@ -129,7 +151,8 @@ SplitOutcome FindNodeSplit(const DataTable& table, const uint32_t* rows,
 TreeModel TrainTree(const DataTable& table, std::vector<uint32_t> rows,
                     const std::vector<int>& candidate_columns,
                     const TreeConfig& config, Rng* rng,
-                    const BinnedTable* binned, const RankedTable* ranked) {
+                    const BinnedTable* binned, const RankedTable* ranked,
+                    const TargetStats* root_stats) {
   const Schema& schema = table.schema();
   SplitContext ctx{schema.task_kind(), config.impurity, schema.num_classes()};
   TreeModel model(ctx.kind, ctx.num_classes);
@@ -164,11 +187,23 @@ TreeModel TrainTree(const DataTable& table, std::vector<uint32_t> rows,
   }
 
   const ColumnPtr& target = table.target();
+  // Regression histograms are derived by subtraction only when that is
+  // bit-identical to building them, so the result never depends on
+  // which nodes a caller builds and which it derives.
+  const bool derive_hists =
+      binned != nullptr && ExactTargetSums(*target, ctx, rows);
   std::vector<Frame> stack;
   {
+    // Only the root sums its rows; every other node takes its
+    // statistics from its parent's split outcome, as the engine's
+    // master does (it never sees a node's rows).
     TreeModel::Node root;
     int32_t id = model.AddNode(std::move(root));
-    stack.push_back(Frame{id, 0, rows.size(), 0});
+    stack.push_back(Frame{id, 0, rows.size(), 0, nullptr,
+                          root_stats != nullptr
+                              ? *root_stats
+                              : ComputeTargetStats(*target, ctx, rows.data(),
+                                                   rows.size())});
   }
 
   std::vector<uint32_t> scratch;
@@ -179,27 +214,11 @@ TreeModel TrainTree(const DataTable& table, std::vector<uint32_t> rows,
     const uint32_t* row_ptr = rows.data() + f.begin;
 
     const int global_depth = config.base_depth + f.depth;
-    auto is_leaf = [&](const TargetStats& s) {
-      return s.IsPure() || n <= config.min_leaf ||
-             global_depth >= config.max_depth;
-    };
-    // A child that its parent's split outcome already makes a leaf
-    // takes its prediction from that outcome's statistics, exactly as
-    // the engine's master does (it never sees the child's rows): the
-    // outcome sums regression targets in kernel order, not row order,
-    // so recomputing them here could differ in the last bits.
-    TargetStats stats;
-    bool leaf;
-    if (f.split_stats.has_value() && is_leaf(*f.split_stats)) {
-      stats = std::move(*f.split_stats);
-      leaf = true;
-    } else {
-      stats = ComputeTargetStats(*target, ctx, row_ptr, n);
-      leaf = is_leaf(stats);
-    }
+    bool leaf = f.stats.IsPure() || n <= config.min_leaf ||
+                global_depth >= config.max_depth;
     TreeModel::Node& node = model.mutable_node(f.node_id);
     node.depth = static_cast<uint16_t>(f.depth);
-    FillNodePrediction(stats, &node);
+    FillNodePrediction(f.stats, &node);
     if (!leaf) {
       if (binned != nullptr && f.hists == nullptr) {
         // Root (or a node whose histograms were skipped as a predicted
@@ -232,49 +251,59 @@ TreeModel TrainTree(const DataTable& table, std::vector<uint32_t> rows,
         // Stable partition of rows[f.begin, f.end) by the condition,
         // preserving relative order so the distributed engine (which
         // splits I_x the same way at the delegate worker) produces an
-        // identical tree. A binned numeric column partitions by code:
-        // the histogram threshold is a bin's upper bound, so
-        // `v <= threshold` is `code <= CodeOf(threshold)`, and D_x
-        // never needs the column's values.
+        // identical tree. A binned column partitions by code, so D_x
+        // never needs its values: a numeric histogram threshold is a
+        // bin's upper bound, so `v <= threshold` is
+        // `code <= CodeOf(threshold)`, and a categorical column looks
+        // its identity code up in a (cardinality + 1)-entry table.
         const SplitCondition& cond = best.condition;
         const BinnedColumn* split_bins =
             binned != nullptr ? binned->column(cond.column) : nullptr;
         size_t mid;
-        if (cond.type != DataType::kNumeric) {
+        if (split_bins == nullptr) {
           const Column& col = *table.column(cond.column);
-          mid = StablePartition(&rows, f.begin, f.end, &scratch,
-                                [&](uint32_t r) {
-                                  return cond.TrainRoutesLeftCategory(
-                                      col.category_at(r));
-                                });
-        } else if (split_bins == nullptr) {
-          const Column& col = *table.column(cond.column);
-          mid = StablePartition(&rows, f.begin, f.end, &scratch,
-                                [&](uint32_t r) {
-                                  return cond.TrainRoutesLeftNumeric(
-                                      col.numeric_at(r));
-                                });
+          mid = cond.type == DataType::kNumeric
+                    ? StablePartition(&rows, f.begin, f.end, &scratch,
+                                      [&](uint32_t r) {
+                                        return cond.TrainRoutesLeftNumeric(
+                                            col.numeric_at(r));
+                                      })
+                    : StablePartition(&rows, f.begin, f.end, &scratch,
+                                      [&](uint32_t r) {
+                                        return cond.TrainRoutesLeftCategory(
+                                            col.category_at(r));
+                                      });
         } else {
-          const uint16_t cut = split_bins->CodeOf(cond.threshold);
-          TS_DCHECK(split_bins->upper(cut) == cond.threshold)
-              << "histogram threshold is not a bin boundary";
-          const uint16_t missing =
-              static_cast<uint16_t>(split_bins->missing_code());
-          const bool missing_left = cond.missing_to_left;
-          auto routes_left = [&](uint16_t code) {
-            return code == missing ? missing_left : code <= cut;
-          };
-          if (split_bins->wide()) {
-            const uint16_t* codes = split_bins->codes16_data();
-            mid = StablePartition(
-                &rows, f.begin, f.end, &scratch,
-                [&](uint32_t r) { return routes_left(codes[r]); });
-          } else {
-            const uint8_t* codes = split_bins->codes8_data();
-            mid = StablePartition(
-                &rows, f.begin, f.end, &scratch,
-                [&](uint32_t r) { return routes_left(codes[r]); });
+          const int missing = split_bins->missing_code();
+          std::vector<uint8_t> goes_left;
+          if (split_bins->categorical()) {
+            goes_left.resize(static_cast<size_t>(missing) + 1);
+            for (int b = 0; b < missing; ++b) {
+              goes_left[b] = cond.TrainRoutesLeftCategory(b);
+            }
+            goes_left[missing] = cond.missing_to_left;
           }
+          const uint16_t cut = split_bins->categorical()
+                                   ? 0
+                                   : split_bins->CodeOf(cond.threshold);
+          TS_DCHECK(split_bins->categorical() ||
+                    split_bins->upper(cut) == cond.threshold)
+              << "histogram threshold is not a bin boundary";
+          const bool missing_left = cond.missing_to_left;
+          auto partition = [&](const auto* codes) {
+            if (!goes_left.empty()) {
+              return StablePartition(
+                  &rows, f.begin, f.end, &scratch,
+                  [&](uint32_t r) { return goes_left[codes[r]] != 0; });
+            }
+            return StablePartition(
+                &rows, f.begin, f.end, &scratch, [&](uint32_t r) {
+                  const int code = codes[r];
+                  return code == missing ? missing_left : code <= cut;
+                });
+          };
+          mid = split_bins->wide() ? partition(split_bins->codes16_data())
+                                   : partition(split_bins->codes8_data());
         }
         TS_DCHECK(mid > f.begin && mid < f.end)
             << "split produced an empty child";
@@ -290,11 +319,10 @@ TreeModel TrainTree(const DataTable& table, std::vector<uint32_t> rows,
         parent.right = right_id;
 
         // Histogram mode: build only the smaller child's histograms
-        // and derive the larger sibling as parent - smaller. Which
-        // sibling is derived depends only on the partition sizes, so
-        // the (floating-point) results stay deterministic for a given
-        // row set. Children that the depth/min_leaf rules already make
-        // leaves skip histogram work entirely.
+        // and derive the larger sibling as parent - smaller when that
+        // is exact (derive_hists), else build both. Children that the
+        // depth/min_leaf rules already make leaves skip histogram work
+        // entirely.
         std::shared_ptr<NodeHists> left_hists;
         std::shared_ptr<NodeHists> right_hists;
         if (binned != nullptr) {
@@ -304,16 +332,21 @@ TreeModel TrainTree(const DataTable& table, std::vector<uint32_t> rows,
               config.base_depth + f.depth + 1 < config.max_depth;
           const bool need_left = child_depth_ok && nl > config.min_leaf;
           const bool need_right = child_depth_ok && nr > config.min_leaf;
-          if (need_left || need_right) {
+          auto build = [&](bool left) {
+            return BuildNodeHists(*binned, *target, candidate_columns, ctx,
+                                  left ? row_ptr : rows.data() + mid,
+                                  left ? nl : nr);
+          };
+          if (!derive_hists) {
+            if (need_left) left_hists = build(true);
+            if (need_right) right_hists = build(false);
+          } else if (need_left || need_right) {
             const bool left_smaller = nl <= nr;
             std::shared_ptr<NodeHists>& smaller =
                 left_smaller ? left_hists : right_hists;
             std::shared_ptr<NodeHists>& larger =
                 left_smaller ? right_hists : left_hists;
-            smaller = BuildNodeHists(
-                *binned, *target, candidate_columns, ctx,
-                left_smaller ? row_ptr : rows.data() + mid,
-                left_smaller ? nl : nr);
+            smaller = build(left_smaller);
             if (left_smaller ? need_right : need_left) {
               larger = std::make_shared<NodeHists>(candidate_columns.size());
               for (size_t i = 0; i < candidate_columns.size(); ++i) {

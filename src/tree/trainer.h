@@ -45,22 +45,34 @@ struct TreeConfig {
 /// for extra-trees) give an identical tree.
 ///
 /// In histogram mode `binned` supplies the pre-binned view of the
-/// table's numeric columns; when nullptr it is built internally from
-/// `table` with `config.max_bins`. Histogram mode reads a binned column
-/// only through its codes: splits come from histograms and rows
-/// partition by code. A subtree task therefore passes the codes of its
-/// gathered rows and leaves those columns null in `table`.
+/// table's feature columns (numeric and categorical); when nullptr it
+/// is built internally from `table` with `config.max_bins`. Histogram
+/// mode reads a binned column only through its codes: splits come from
+/// histograms and rows partition by code. A subtree task therefore
+/// passes the codes of its gathered rows and leaves those columns null
+/// in `table`.
 ///
 /// In exact mode `ranked` supplies the rank index of `table`'s numeric
 /// columns (shared across the trees of a job); when nullptr a lazy one
 /// over `table` is made for this call, so each candidate column is
 /// ranked once per call, not once per node. A subtree task relies on
 /// that to rank its gathered D_x columns once per task.
+///
+/// Only the root's statistics are summed from its rows; every other
+/// node takes them from its parent's split outcome, as the engine's
+/// master must. `root_stats`, when given, replaces the root's sum too:
+/// a subtree task passes the statistics its parent's split outcome
+/// reported for the subtree root. In histogram mode a child's
+/// histograms are derived as parent - sibling only when that is
+/// bit-identical to building them (classification, or regression whose
+/// targets over `rows` are integers with max|y|^2 * n < 2^53), so
+/// forests match the engine's for any targets.
 TreeModel TrainTree(const DataTable& table, std::vector<uint32_t> rows,
                     const std::vector<int>& candidate_columns,
                     const TreeConfig& config, Rng* rng = nullptr,
                     const BinnedTable* binned = nullptr,
-                    const RankedTable* ranked = nullptr);
+                    const RankedTable* ranked = nullptr,
+                    const TargetStats* root_stats = nullptr);
 
 /// Trains over every row of the table.
 TreeModel TrainTreeOnTable(const DataTable& table,

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -583,6 +584,120 @@ TEST(BinnedWireTest, RowAndColumnCountsThatDisagreeAreCorruption) {
   EXPECT_TRUE(DecodesAsCorruption(missing_payload.Encode()));
 }
 
+
+// -------------------------------------------------------------------
+// Category codes on the wire.
+// -------------------------------------------------------------------
+
+// One categorical column of `rows` rows over `card` categories, every
+// eleventh cell missing.
+std::shared_ptr<const BinnedColumn> CategoryCodes(size_t rows, int32_t card) {
+  std::vector<int32_t> cats(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    cats[i] = i % 11 == 0 ? kMissingCategory
+                          : static_cast<int32_t>((i * 7) % card);
+  }
+  return BinnedColumn::Build(*Column::Categorical("c", std::move(cats), card),
+                             255);
+}
+
+// A ColumnDataResponse holding one category-code column, written field
+// by field so a test can state a cardinality, width and codes that
+// disagree.
+template <typename Code>
+std::string CategoryPayload(int32_t card, uint8_t width,
+                            const std::vector<Code>& codes) {
+  BinaryWriter w;
+  w.Write(uint64_t{77});
+  w.WriteVector(std::vector<int32_t>{0});
+  w.Write(uint64_t{1});
+  w.Write(uint8_t{4});  // category-code wire tag
+  w.Write(card);
+  w.Write(width);
+  w.WriteVector(codes);
+  return w.Release();
+}
+
+TEST(BinnedWireTest, CategoryCodesRoundTripInBothWidths) {
+  for (int32_t card : {1, 12, 255, 256, 300}) {
+    auto sent = CategoryCodes(500, card);
+    ASSERT_NE(sent, nullptr);
+    ColumnDataResponse out;
+    ASSERT_TRUE(
+        ColumnDataResponse::Decode(EncodeResponse({CodesColumn(sent)}), &out)
+            .ok())
+        << "card " << card;
+    ASSERT_EQ(out.data.size(), 1u);
+    const BinnedColumn& got = *out.data[0].codes;
+    EXPECT_TRUE(got.categorical());
+    EXPECT_EQ(got.num_bins(), card);
+    EXPECT_EQ(got.wide(), card >= 256);
+    ASSERT_EQ(got.num_rows(), sent->num_rows());
+    for (size_t r = 0; r < got.num_rows(); ++r) {
+      ASSERT_EQ(got.code_at(r), sent->code_at(r)) << "card " << card;
+    }
+  }
+}
+
+TEST(BinnedWireTest, CategoryCodeTruncationAtEveryByteIsCorruption) {
+  for (int32_t card : {12, 300}) {
+    const std::string full = EncodeResponse({CodesColumn(CategoryCodes(40, card))});
+    for (size_t len = 0; len < full.size(); ++len) {
+      EXPECT_TRUE(DecodesAsCorruption(full.substr(0, len)))
+          << "card " << card << " len " << len;
+    }
+  }
+}
+
+TEST(BinnedWireTest, CategoryCodeAboveTheCardinalityIsCorruption) {
+  // Codes 0..card are valid (card is the missing code); card + 1 is not.
+  EXPECT_FALSE(DecodesAsCorruption(
+      CategoryPayload<uint8_t>(12, 1, {0, 5, 11, 12})));
+  EXPECT_TRUE(DecodesAsCorruption(
+      CategoryPayload<uint8_t>(12, 1, {0, 5, 13, 12})));
+  EXPECT_TRUE(DecodesAsCorruption(
+      CategoryPayload<uint16_t>(300, 2, {0, 300, 301})));
+  EXPECT_TRUE(DecodesAsCorruption(
+      CategoryPayload<uint8_t>(0, 1, {0, 1})));
+}
+
+TEST(BinnedWireTest, CategoryCodeWidthThatMismatchesTheCardinalityIsCorruption) {
+  EXPECT_TRUE(DecodesAsCorruption(CategoryPayload<uint16_t>(12, 2, {0, 1})));
+  EXPECT_TRUE(DecodesAsCorruption(CategoryPayload<uint8_t>(300, 1, {0, 1})));
+  EXPECT_TRUE(DecodesAsCorruption(CategoryPayload<uint8_t>(255, 2, {0, 1})));
+  EXPECT_TRUE(DecodesAsCorruption(CategoryPayload<uint16_t>(256, 1, {0, 1})));
+  for (uint8_t width : {0, 3, 4, 255}) {
+    EXPECT_TRUE(DecodesAsCorruption(CategoryPayload<uint8_t>(12, width, {0})))
+        << "width " << static_cast<int>(width);
+  }
+}
+
+TEST(BinnedWireTest, NegativeOrOversizedCardinalityIsCorruption) {
+  EXPECT_TRUE(DecodesAsCorruption(CategoryPayload<uint8_t>(-1, 1, {0})));
+  EXPECT_TRUE(DecodesAsCorruption(
+      CategoryPayload<uint8_t>(std::numeric_limits<int32_t>::min(), 1, {0})));
+  EXPECT_TRUE(DecodesAsCorruption(CategoryPayload<uint16_t>(65536, 2, {0})));
+}
+
+TEST(BinnedWireTest, CategoryCodesWithBitFlipsNeverDecodeInvalidCodes) {
+  const std::string clean =
+      EncodeResponse({CodesColumn(CategoryCodes(64, 12))});
+  for (size_t byte = kTagOffset; byte < clean.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = clean;
+      flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
+      ColumnDataResponse out;
+      if (!ColumnDataResponse::Decode(flipped, &out).ok()) continue;
+      if (out.data.empty() || out.data[0].codes == nullptr) continue;
+      const BinnedColumn& got = *out.data[0].codes;
+      for (size_t r = 0; r < got.num_rows(); ++r) {
+        ASSERT_LE(got.code_at(r), got.missing_code())
+            << "byte " << byte << " bit " << bit;
+      }
+    }
+  }
+}
+
 // -------------------------------------------------------------------
 // Histogram kernel vs exact kernel.
 // -------------------------------------------------------------------
@@ -676,6 +791,360 @@ TEST(NodeHistogramTest, SubtractionMatchesDirectBuild) {
   }
 }
 
+
+// -------------------------------------------------------------------
+// Categorical columns through the histogram kernel.
+// -------------------------------------------------------------------
+
+// The exact categorical kernels as they were before categorical columns
+// joined the histogram path: per-category ClassStats / RegStats summed
+// row by row, then one-vs-rest (classification) or Breiman's sorted
+// prefix (regression). The shared scan must reproduce them byte for
+// byte.
+SplitOutcome RefCategoricalClassification(const Column& feature, int col,
+                                          const Column& target,
+                                          const SplitContext& ctx,
+                                          const std::vector<uint32_t>& rows) {
+  SplitOutcome out;
+  const int32_t card = feature.cardinality();
+  std::vector<ClassStats> per_cat(card, ClassStats(ctx.num_classes));
+  ClassStats total(ctx.num_classes);
+  TargetStats missing = TargetStats::Classification(ctx.num_classes);
+  for (uint32_t row : rows) {
+    const int32_t c = feature.category_at(row);
+    if (c == kMissingCategory) {
+      missing.cls.Add(target.category_at(row));
+    } else {
+      per_cat[c].Add(target.category_at(row));
+      total.Add(target.category_at(row));
+    }
+  }
+  if (total.n < 2) return out;
+  std::vector<int32_t> seen;
+  for (int32_t c = 0; c < card; ++c) {
+    if (per_cat[c].n > 0) seen.push_back(c);
+  }
+  if (seen.size() < 2) return out;
+  double best_score = std::numeric_limits<double>::infinity();
+  int32_t best_cat = -1;
+  for (int32_t c : seen) {
+    ClassStats rest = total;
+    for (size_t j = 0; j < rest.counts.size(); ++j) {
+      rest.counts[j] -= per_cat[c].counts[j];
+    }
+    rest.n -= per_cat[c].n;
+    double score = (static_cast<double>(per_cat[c].n) *
+                        per_cat[c].ImpurityValue(ctx.impurity) +
+                    static_cast<double>(rest.n) *
+                        rest.ImpurityValue(ctx.impurity)) /
+                   static_cast<double>(total.n);
+    if (score < best_score) {
+      best_score = score;
+      best_cat = c;
+    }
+  }
+  out.left_stats = TargetStats::Classification(ctx.num_classes);
+  out.right_stats = TargetStats::Classification(ctx.num_classes);
+  out.left_stats.cls = per_cat[best_cat];
+  out.right_stats.cls = total;
+  for (size_t j = 0; j < total.counts.size(); ++j) {
+    out.right_stats.cls.counts[j] -= per_cat[best_cat].counts[j];
+  }
+  out.right_stats.cls.n -= per_cat[best_cat].n;
+  out.condition.column = col;
+  out.condition.type = DataType::kCategorical;
+  out.condition.left_categories = {best_cat};
+  out.condition.seen_categories = seen;
+  FinishSplitOutcome(ctx, missing, &out);
+  return out;
+}
+
+SplitOutcome RefCategoricalRegression(const Column& feature, int col,
+                                      const Column& target,
+                                      const SplitContext& ctx,
+                                      const std::vector<uint32_t>& rows) {
+  SplitOutcome out;
+  const int32_t card = feature.cardinality();
+  std::vector<RegStats> per_cat(card);
+  TargetStats missing = TargetStats::Regression();
+  for (uint32_t row : rows) {
+    const int32_t c = feature.category_at(row);
+    if (c == kMissingCategory) {
+      missing.reg.Add(target.numeric_at(row));
+    } else {
+      per_cat[c].Add(target.numeric_at(row));
+    }
+  }
+  std::vector<int32_t> seen;
+  for (int32_t c = 0; c < card; ++c) {
+    if (per_cat[c].n > 0) seen.push_back(c);
+  }
+  if (seen.size() < 2) return out;
+  std::vector<int32_t> order = seen;
+  std::sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
+    return per_cat[a].Mean() < per_cat[b].Mean();
+  });
+  RegStats total;
+  for (int32_t c : seen) total.Merge(per_cat[c]);
+  RegStats left;
+  RegStats right = total;
+  double best_score = std::numeric_limits<double>::infinity();
+  size_t best_prefix = 0;
+  for (size_t i = 0; i + 1 < order.size(); ++i) {
+    left.Merge(per_cat[order[i]]);
+    right.n -= per_cat[order[i]].n;
+    right.sum -= per_cat[order[i]].sum;
+    right.sum_sq -= per_cat[order[i]].sum_sq;
+    double score = (static_cast<double>(left.n) * left.Variance() +
+                    static_cast<double>(right.n) * right.Variance()) /
+                   static_cast<double>(total.n);
+    if (score < best_score) {
+      best_score = score;
+      best_prefix = i + 1;
+    }
+  }
+  if (best_prefix == 0) return out;
+  std::vector<int32_t> left_cats(order.begin(), order.begin() + best_prefix);
+  std::sort(left_cats.begin(), left_cats.end());
+  out.left_stats = TargetStats::Regression();
+  out.right_stats = TargetStats::Regression();
+  for (size_t i = 0; i < order.size(); ++i) {
+    (i < best_prefix ? out.left_stats : out.right_stats)
+        .reg.Merge(per_cat[order[i]]);
+  }
+  out.condition.column = col;
+  out.condition.type = DataType::kCategorical;
+  out.condition.left_categories = std::move(left_cats);
+  out.condition.seen_categories = seen;
+  FinishSplitOutcome(ctx, missing, &out);
+  return out;
+}
+
+std::string OutcomeBytes(const SplitOutcome& o) {
+  BinaryWriter w;
+  o.Serialize(&w);
+  return w.Release();
+}
+
+// One categorical feature of `card` categories (7% missing cells; with
+// `odd_absent`, odd categories never occur) and a target that depends
+// on it: `classes` labels, or a non-integer (`integer_y` false) or
+// integer regression target when `classes` is 0.
+DataTable CategoryTable(size_t rows, int32_t card, int classes,
+                        bool odd_absent, bool integer_y, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<int32_t> cats(rows);
+  std::vector<int32_t> labels(rows);
+  std::vector<double> y(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    int32_t c = static_cast<int32_t>(rng.Uniform(card));
+    if (odd_absent && card > 1) c &= ~1;
+    cats[r] = rng.Bernoulli(0.07) ? kMissingCategory : c;
+    if (classes > 0) {
+      labels[r] = rng.Bernoulli(0.2)
+                      ? static_cast<int32_t>(rng.Uniform(classes))
+                      : (c * 5 / 3) % classes;
+    } else {
+      y[r] = integer_y ? static_cast<double>((c * 7) % 11 + rng.Uniform(4))
+                       : std::sin(c * 0.9) * 10.0 + rng.Normal();
+    }
+  }
+  std::vector<ColumnMeta> metas = {{"c", DataType::kCategorical, card}};
+  std::vector<ColumnPtr> cols = {
+      Column::Categorical("c", std::move(cats), card)};
+  if (classes > 0) {
+    metas.push_back({"y", DataType::kCategorical, classes});
+    cols.push_back(Column::Categorical("y", std::move(labels), classes));
+  } else {
+    metas.push_back({"y", DataType::kNumeric, 0});
+    cols.push_back(Column::Numeric("y", std::move(y)));
+  }
+  auto t = DataTable::Make(
+      Schema(metas, 1,
+             classes > 0 ? TaskKind::kClassification : TaskKind::kRegression),
+      std::move(cols));
+  EXPECT_TRUE(t.ok());
+  return std::move(t).value();
+}
+
+TEST(HistCategoricalTest, CodesAreTheCategoriesWithMissingLast) {
+  for (int32_t card : {1, 2, 255, 256, 65535}) {
+    DataTable t = CategoryTable(3000, card, 2, false, false, 3);
+    const Column& col = *t.column(0);
+    auto binned = BinnedColumn::Build(col, /*max_bins=*/16);
+    ASSERT_NE(binned, nullptr);
+    EXPECT_TRUE(binned->categorical());
+    EXPECT_EQ(binned->num_bins(), card) << "max_bins does not apply";
+    EXPECT_EQ(binned->wide(), card >= 256);
+    for (size_t r = 0; r < col.size(); ++r) {
+      const int32_t v = col.category_at(r);
+      ASSERT_EQ(binned->code_at(r), v == kMissingCategory ? card : v);
+    }
+  }
+  // More categories than a uint16 code holds: not binned, and the
+  // column stays on the exact kernel.
+  auto huge = Column::Categorical("c", {0, 70000, kMissingCategory}, 70001);
+  EXPECT_EQ(BinnedColumn::Build(*huge, 255), nullptr);
+}
+
+TEST(HistCategoricalTest, MatchesTheExactKernelByteForByte) {
+  struct Task {
+    int classes;
+    Impurity impurity;
+  };
+  const Task tasks[] = {{2, Impurity::kGini},
+                        {2, Impurity::kEntropy},
+                        {7, Impurity::kGini},
+                        {7, Impurity::kEntropy},
+                        {0, Impurity::kVariance}};
+  uint64_t seed = 100;
+  for (const Task& task : tasks) {
+    const SplitContext ctx{task.classes > 0 ? TaskKind::kClassification
+                                            : TaskKind::kRegression,
+                           task.impurity, task.classes};
+    for (int32_t card : {1, 2, 12, 255, 256}) {
+      for (bool odd_absent : {false, true}) {
+        DataTable t = CategoryTable(2500, card, task.classes, odd_absent,
+                                    /*integer_y=*/false, ++seed);
+        const Column& feature = *t.column(0);
+        auto binned = BinnedColumn::Build(feature, 255);
+        std::vector<uint32_t> all(t.num_rows());
+        std::iota(all.begin(), all.end(), 0u);
+        std::vector<uint32_t> some;
+        for (uint32_t r = 0; r < t.num_rows(); r += 3) some.push_back(r);
+        for (const std::vector<uint32_t>* rows : {&all, &some}) {
+          const SplitOutcome ref =
+              task.classes > 0
+                  ? RefCategoricalClassification(feature, 0, *t.target(),
+                                                 ctx, *rows)
+                  : RefCategoricalRegression(feature, 0, *t.target(), ctx,
+                                             *rows);
+          const NodeHistogram h = NodeHistogram::Build(
+              *binned, *t.target(), ctx, rows->data(), rows->size());
+          const SplitOutcome hist = h.BestSplit(*binned, 0, ctx);
+          const SplitOutcome exact = FindBestSplit(
+              feature, 0, *t.target(), ctx, rows->data(), rows->size());
+          const std::string where = "classes " +
+                                    std::to_string(task.classes) + " card " +
+                                    std::to_string(card) + " rows " +
+                                    std::to_string(rows->size());
+          EXPECT_EQ(hist.valid, card > (odd_absent ? 2 : 1)) << where;
+          EXPECT_EQ(OutcomeBytes(hist), OutcomeBytes(ref)) << where;
+          EXPECT_EQ(OutcomeBytes(exact), OutcomeBytes(ref)) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(HistCategoricalTest, SubtractedHistogramsSplitLikeDirectBuilds) {
+  // Class counts, and integer regression targets, keep every sum exact,
+  // so parent - sibling is the other child's histogram bit for bit.
+  for (int classes : {2, 7, 0}) {
+    const SplitContext ctx =
+        classes > 0 ? ClsCtx(classes) : RegCtx();
+    for (int32_t card : {12, 256}) {
+      DataTable t = CategoryTable(3000, card, classes, /*odd_absent=*/false,
+                                  /*integer_y=*/true, 7 + card + classes);
+      auto binned = BinnedColumn::Build(*t.column(0), 255);
+      std::vector<uint32_t> left_rows, right_rows;
+      for (uint32_t r = 0; r < t.num_rows(); ++r) {
+        (r % 3 == 0 ? left_rows : right_rows).push_back(r);
+      }
+      const NodeHistogram parent = NodeHistogram::Build(
+          *binned, *t.target(), ctx, nullptr, t.num_rows());
+      const NodeHistogram left = NodeHistogram::Build(
+          *binned, *t.target(), ctx, left_rows.data(), left_rows.size());
+      const NodeHistogram right = NodeHistogram::Build(
+          *binned, *t.target(), ctx, right_rows.data(), right_rows.size());
+      const NodeHistogram derived = NodeHistogram::Subtract(parent, left);
+      ASSERT_EQ(derived.cls_size(), right.cls_size());
+      ASSERT_EQ(derived.reg_size(), right.reg_size());
+      // One payload is empty (and may be null) for each task kind.
+      EXPECT_TRUE(right.cls_size() == 0 ||
+                  std::memcmp(derived.cls_data(), right.cls_data(),
+                              right.cls_size() * sizeof(int64_t)) == 0);
+      EXPECT_TRUE(right.reg_size() == 0 ||
+                  std::memcmp(derived.reg_data(), right.reg_data(),
+                              right.reg_size() * sizeof(HistRegBin)) == 0);
+      EXPECT_EQ(OutcomeBytes(derived.BestSplit(*binned, 0, ctx)),
+                OutcomeBytes(right.BestSplit(*binned, 0, ctx)))
+          << "classes " << classes << " card " << card;
+    }
+  }
+}
+
+TEST(HistCategoricalTest, CodePartitionMatchesValuePartition) {
+  // A histogram tree over codes only (the categorical values are null,
+  // as in a subtree task's D_x) partitions rows by a per-code table; it
+  // must grow the exact tree, which partitions by value.
+  const size_t rows = 3000;
+  for (int classes : {3, 0}) {
+    Rng rng(41 + classes);
+    const int32_t cards[] = {3, 40, 300};
+    std::vector<ColumnMeta> metas;
+    std::vector<ColumnPtr> cols;
+    std::vector<std::vector<int32_t>> cats(3, std::vector<int32_t>(rows));
+    std::vector<double> num(rows);
+    std::vector<int32_t> labels(rows);
+    std::vector<double> y(rows);
+    for (size_t r = 0; r < rows; ++r) {
+      int64_t s = 0;
+      for (int j = 0; j < 3; ++j) {
+        const int32_t c = static_cast<int32_t>(rng.Uniform(cards[j]));
+        cats[j][r] = rng.Bernoulli(0.05) ? kMissingCategory : c;
+        s += (c * (j + 3)) % 7;
+      }
+      num[r] = static_cast<double>(rng.Uniform(30));
+      s += static_cast<int64_t>(num[r]) / 10;
+      labels[r] = static_cast<int32_t>(s % 3);
+      y[r] = static_cast<double>(s + rng.Uniform(3));
+    }
+    for (int j = 0; j < 3; ++j) {
+      const std::string name = "c" + std::to_string(j);
+      metas.push_back({name, DataType::kCategorical, cards[j]});
+      cols.push_back(Column::Categorical(name, std::move(cats[j]), cards[j]));
+    }
+    metas.push_back({"x", DataType::kNumeric, 0});
+    cols.push_back(Column::Numeric("x", std::move(num)));
+    if (classes > 0) {
+      metas.push_back({"y", DataType::kCategorical, classes});
+      cols.push_back(Column::Categorical("y", std::move(labels), classes));
+    } else {
+      metas.push_back({"y", DataType::kNumeric, 0});
+      cols.push_back(Column::Numeric("y", std::move(y)));
+    }
+    const Schema schema(metas, 4,
+                        classes > 0 ? TaskKind::kClassification
+                                    : TaskKind::kRegression);
+    auto made = DataTable::Make(schema, cols);
+    ASSERT_TRUE(made.ok());
+    const DataTable t = std::move(made).value();
+
+    TreeConfig exact_cfg;
+    exact_cfg.max_depth = 9;
+    exact_cfg.min_leaf = 2;
+    exact_cfg.impurity = classes > 0 ? Impurity::kGini : Impurity::kVariance;
+    TreeConfig hist_cfg = exact_cfg;
+    hist_cfg.split_method = SplitMethod::kHistogram;
+    hist_cfg.max_bins = 64;
+
+    std::shared_ptr<const BinnedTable> binned =
+        BinnedTable::Build(t, hist_cfg.max_bins);
+    std::vector<ColumnPtr> codes_only = cols;
+    for (int j = 0; j < 3; ++j) codes_only[j] = nullptr;
+    const DataTable dx =
+        DataTable::ForGatheredSubset(schema, std::move(codes_only), rows);
+
+    const TreeModel exact = TrainTreeOnTable(t, {0, 1, 2, 3}, exact_cfg);
+    const TreeModel hist =
+        TrainTreeOnTable(dx, {0, 1, 2, 3}, hist_cfg, nullptr, binned.get());
+    EXPECT_GT(exact.num_nodes(), 7u);
+    EXPECT_EQ(SerializeCanonical(exact), SerializeCanonical(hist))
+        << "classes " << classes;
+  }
+}
+
 // -------------------------------------------------------------------
 // Whole-tree parity.
 // -------------------------------------------------------------------
@@ -711,9 +1180,10 @@ TEST(HistTreeParityTest, RegressionTreeIsByteIdentical) {
   EXPECT_EQ(SerializeCanonical(exact), SerializeCanonical(hist));
 }
 
-TEST(HistTreeParityTest, ManyCategoryColumnsFallBackToTheExactKernel) {
-  // A categorical column with > 64 categories is never binned; both
-  // methods must run the identical one-vs-rest kernel on it.
+TEST(HistTreeParityTest, ManyCategoryColumnsMatchTheExactKernel) {
+  // A categorical column with more categories than max_bins still gets
+  // one identity code per category, so both methods run the same
+  // one-vs-rest scan over the same per-category counts.
   const int kCard = 80;
   Rng rng(5);
   const size_t rows = 1500;
@@ -867,11 +1337,14 @@ struct PulledBytes {
   }
 };
 
-// Histogram-mode subtree pulls carry bin codes, never 8-byte values.
+// Histogram-mode subtree pulls carry codes, never values: no 8-byte
+// numeric values and no 4-byte category values.
 void ExpectCodePulls(const PulledBytes& before) {
   const PulledBytes after = PulledBytes::Now();
   EXPECT_EQ(after.numeric, before.numeric)
       << "a histogram-mode pull shipped numeric values";
+  EXPECT_EQ(after.categorical, before.categorical)
+      << "a histogram-mode pull shipped category values";
   EXPECT_GT(after.codes, before.codes) << "no remote column pull ran";
 }
 
@@ -916,11 +1389,22 @@ void ExpectEnginesMatchSerial(const DataTable& t, const ForestJobSpec& spec,
         << "in-process engine must reproduce serial histogram training";
     EXPECT_GT(subtrees->Count(), before) << "no subtree task ran in-process";
     ExpectCodePulls(pulled);
+    bool binned_categorical = false;
     for (const WorkerStats& w : cluster.GetEngineStats().workers) {
       if (!crash || w.worker != kVictim) {
         ExpectBinsOnlyOnHolders(cluster.master(), w);
       }
+      for (int32_t col : w.binned_columns) {
+        binned_categorical |=
+            t.schema().column(col).type == DataType::kCategorical;
+      }
     }
+    bool has_categorical = false;
+    for (int col : t.schema().FeatureIndices()) {
+      has_categorical |= t.schema().column(col).type == DataType::kCategorical;
+    }
+    EXPECT_EQ(binned_categorical, has_categorical)
+        << "categorical columns are binned, with identity codes, on holders";
   }
   {
     const uint64_t before = subtrees->Count();
@@ -993,6 +1477,29 @@ TEST(HistEngineParityTest, ClassificationWithMissingValuesAndWideBins) {
   spec.tree.max_depth = 8;
   spec.tree.split_method = SplitMethod::kHistogram;
   spec.tree.max_bins = 300;  // > 255: uint16 codes
+  ExpectEnginesMatchSerial(t, spec);
+}
+
+TEST(HistEngineParityTest, NonIntegerRegressionWithCategoricalColumns) {
+  // Non-integer targets: histogram sums round, so parent - sibling is
+  // not a direct build. The serial trainer must then build every
+  // regression histogram, as column tasks do, and take node statistics
+  // from split outcomes, as the master does.
+  DatasetProfile p;
+  p.rows = 3000;
+  p.num_numeric = 4;
+  p.num_categorical = 4;
+  p.num_classes = 0;
+  p.noise = 0.2;
+  p.missing_fraction = 0.05;
+  DataTable t = GenerateTable(p, 19);
+
+  ForestJobSpec spec;
+  spec.num_trees = 3;
+  spec.tree.max_depth = 9;
+  spec.tree.impurity = Impurity::kVariance;
+  spec.tree.split_method = SplitMethod::kHistogram;
+  spec.tree.max_bins = 32;
   ExpectEnginesMatchSerial(t, spec);
 }
 
